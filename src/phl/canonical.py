@@ -156,6 +156,7 @@ def all_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
 
 
 _CLASS_CACHE: dict[int, tuple[Poset, ...]] = {}
+_CONNECTED_CACHE: dict[int, tuple[Poset, ...]] = {}
 
 
 def _classes_of_size(n: int) -> tuple[Poset, ...]:
@@ -202,6 +203,8 @@ def enumerate_connected(n_max: int) -> Iterator[Poset]:
     """Connected isomorphism classes with 1..n_max elements."""
     config.check_bound(n_max)
     for n in range(1, n_max + 1):
-        for p in _classes_of_size(n):
-            if is_connected(p):
-                yield p
+        reps = _CONNECTED_CACHE.get(n)
+        if reps is None:
+            reps = tuple(p for p in _classes_of_size(n) if is_connected(p))
+            _CONNECTED_CACHE[n] = reps
+        yield from reps

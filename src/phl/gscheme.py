@@ -107,7 +107,7 @@ def suggest_distributing(q: Poset, qprime: Poset) -> list[HomMap]:
     distributing.  Absence from the list does not refute a candidate."""
     out = []
     for sol in _solutions("strict_onto", q, qprime):
-        m = HomMap(q, qprime, tuple(sol))
+        m = HomMap(q, qprime, sol)
         if check_distributing(m) == "proved":
             out.append(m)
     return out

@@ -8,13 +8,23 @@ Map classes ("kinds") are hom, strict, strict_onto, emb and aut:
   emb          f(x) <= f(y) iff x <= y (implies injective and strict)
   aut          embedding of a poset onto itself
 
-Enumeration extends a partial assignment one domain index at a time,
-trying codomain values in ascending order and pruning as soon as any
-decided pair violates the class predicate, so maps stream out in
-lexicographic order without post-filtering.  Counting walks the same
-tree without materializing maps.  brute_force_count filters the full
-value-tuple space through the defining predicate instead and serves as
-an independent oracle.
+One search core serves every kind.  It assigns domain indices in a
+given order, keeping for the next index a bitmask of candidate values:
+the AND of the codomain up- or down-rows (strict except for hom) of
+the images of its earlier comparable indices, minus, for emb and aut,
+the comparability rows of the images of its earlier incomparable ones.
+Surjective kinds also prune values that leave too few indices to cover
+the missing ones.  The core stops one level early and yields each
+partial assignment with the candidate mask of the last index.
+
+Enumeration runs it in index order and expands each last mask in
+ascending bit order, so maps stream out in lexicographic order.
+Counting adds up the masks' bit counts instead.  It walks each zigzag
+component of the domain breadth-first, so every index after the first
+has an assigned comparable neighbour and the search stays inside one
+component of the codomain; hom and strict counts are products over the
+domain's components.  brute_force_count filters the full value-tuple
+space through the defining predicates and serves as the oracle.
 
 Fibers, zigzag blocks and the quotient factorization: for a map f and
 element x, gamma_block gives the zigzag component of x inside its fiber
@@ -38,7 +48,7 @@ from .errors import (
     NotAPartialOrder,
     OracleTooLarge,
 )
-from .poset import Poset, gamma, require_nonempty
+from .poset import Poset, _transitive_hull, gamma, require_nonempty
 
 KINDS = ("hom", "strict", "strict_onto", "emb", "aut")
 
@@ -73,11 +83,25 @@ def tuple_is_embedding(p: Poset, q: Poset, f: tuple[int, ...]) -> bool:
     )
 
 
-class HomMap:
-    """An arbitrary value map between two posets, classified on creation."""
+def _lazy_flag(slot: str, compute) -> property:
+    """Read-only flag computed on first access and kept in a slot."""
 
-    __slots__ = ("dom", "cod", "map", "is_hom", "is_strict", "is_onto",
-                 "is_embedding", "is_automorphism", "_hash")
+    def get(self):
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            value = compute(self)
+            setattr(self, slot, value)
+            return value
+
+    return property(get)
+
+
+class HomMap:
+    """An arbitrary value map between two posets, classified on demand."""
+
+    __slots__ = ("dom", "cod", "map", "_is_hom", "_is_strict", "_is_onto",
+                 "_is_embedding", "_is_automorphism", "_hash")
 
     def __init__(self, dom: Poset, cod: Poset, mapping):
         mapping = tuple(int(v) for v in mapping)
@@ -91,12 +115,16 @@ class HomMap:
         self.dom = dom
         self.cod = cod
         self.map = mapping
-        self.is_hom = tuple_is_hom(dom, cod, mapping)
-        self.is_strict = self.is_hom and tuple_is_strict(dom, cod, mapping)
-        self.is_onto = tuple_is_onto(cod, mapping)
-        self.is_embedding = tuple_is_embedding(dom, cod, mapping)
-        self.is_automorphism = dom == cod and self.is_embedding and self.is_onto
         self._hash = hash((dom, cod, mapping))
+
+    is_hom = _lazy_flag("_is_hom", lambda m: tuple_is_hom(m.dom, m.cod, m.map))
+    is_strict = _lazy_flag(
+        "_is_strict", lambda m: m.is_hom and tuple_is_strict(m.dom, m.cod, m.map))
+    is_onto = _lazy_flag("_is_onto", lambda m: tuple_is_onto(m.cod, m.map))
+    is_embedding = _lazy_flag(
+        "_is_embedding", lambda m: tuple_is_embedding(m.dom, m.cod, m.map))
+    is_automorphism = _lazy_flag(
+        "_is_automorphism", lambda m: m.dom == m.cod and m.is_embedding and m.is_onto)
 
     @classmethod
     def from_labels(cls, dom: Poset, cod: Poset, assignment: dict) -> "HomMap":
@@ -137,95 +165,138 @@ class HomMap:
 
 # -- enumeration core ------------------------------------------------------
 
-def _check_kind(kind: str) -> None:
+def _check_args(kind: str, p: Poset, q: Poset) -> None:
     if kind not in KINDS:
         raise InvalidParameter(f"kind must be one of {KINDS}, got {kind!r}")
+    require_nonempty(p, q)
+    if kind == "aut" and p != q:
+        raise DomainMismatch("aut enumeration needs identical domain and codomain")
 
 
-def _solutions(kind: str, p: Poset, q: Poset) -> Iterator[list[int]]:
-    """DFS over partial assignments; yields an internal list at each leaf.
+def _component_orders(p: Poset) -> list[list[int]]:
+    """Breadth-first orders of the zigzag components, by least element."""
+    orders = []
+    left = p.full_mask
+    while left:
+        start = (left & -left).bit_length() - 1
+        order = [start]
+        seen = 1 << start
+        for x in order:
+            new = (p._up[x] | p._down[x]) & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                order.append(low.bit_length() - 1)
+                new ^= low
+        left &= ~seen
+        orders.append(order)
+    return orders
 
-    Values are tried in ascending order at each index, so complete maps
-    appear in lexicographic tuple order.
+
+def _search(kind: str, p: Poset, q: Poset,
+            order: list[int]) -> Iterator[tuple[list[int], int]]:
+    """Depth-first search over the indices of order, stopping one level early.
+
+    Yields (assign, mask) for every feasible assignment of order[:-1],
+    where assign is a shared list indexed by domain index and mask holds
+    the feasible values of order[-1] (never zero).  Values are taken in
+    ascending order at every level.
     """
-    n, m = p.n, q.n
-    pup = p._up
-    qup = q._up
-    strictish = kind in ("strict", "strict_onto")
-    iff = kind in ("emb", "aut")
+    n, m = len(order), q.n
+    full = (1 << m) - 1
+    if kind == "hom":
+        up_rows, down_rows = q._up, q._down
+    else:
+        up_rows = [r ^ (1 << v) for v, r in enumerate(q._up)]
+        down_rows = [r ^ (1 << v) for v, r in enumerate(q._down)]
+    apart_rows = None
+    if kind in ("emb", "aut"):
+        apart_rows = [full ^ (u | d) for u, d in zip(q._up, q._down)]
     onto = kind in ("strict_onto", "aut")
-    assign = [0] * n
-    used = [0] * m
+    pup = p._up
+    # constraints[k]: (earlier index j, rows) pairs; rows[assign[j]] is
+    # ANDed into the candidates of order[k]
+    constraints = []
+    for k, i in enumerate(order):
+        level = []
+        for j in order[:k]:
+            if (pup[j] >> i) & 1:
+                level.append((j, up_rows))
+            elif (pup[i] >> j) & 1:
+                level.append((j, down_rows))
+            elif apart_rows is not None:
+                level.append((j, apart_rows))
+        constraints.append(level)
 
-    def feasible(i: int, v: int) -> bool:
-        for j in range(i):
-            w = assign[j]
-            fwd = (pup[j] >> i) & 1
-            bwd = (pup[i] >> j) & 1
-            wv = (qup[w] >> v) & 1
-            vw = (qup[v] >> w) & 1
-            if iff:
-                if fwd != wv or bwd != vw:
-                    return False
-            else:
-                if fwd and not wv:
-                    return False
-                if bwd and not vw:
-                    return False
-                if strictish and (fwd or bwd) and w == v:
-                    return False
-        return True
-
-    missing = m
-
-    def rec(i: int) -> Iterator[list[int]]:
-        nonlocal missing
-        if i == n:
-            yield assign
-            return
-        for v in range(m):
-            if onto and missing - (0 if used[v] else 1) > n - i - 1:
-                continue
-            if not feasible(i, v):
-                continue
-            assign[i] = v
-            if not used[v]:
-                missing -= 1
-            used[v] += 1
-            yield from rec(i + 1)
-            used[v] -= 1
-            if not used[v]:
-                missing += 1
+    assign = [0] * p.n
+    last = n - 1
+    first = 0 if onto and m > n else full
+    if last == 0:
+        if first:
+            yield assign, first
         return
+    masks = [0] * last
+    masks[0] = first
+    used = [0] * n  # onto kinds: values taken by order[:k]
+    k = 0
+    while k >= 0:
+        mk = masks[k]
+        if not mk:
+            k -= 1
+            continue
+        low = mk & -mk
+        masks[k] = mk ^ low
+        assign[order[k]] = low.bit_length() - 1
+        k1 = k + 1
+        cand = full
+        for j, rows in constraints[k1]:
+            cand &= rows[assign[j]]
+        if onto:
+            taken = used[k1] = used[k] | low
+            missing = m - taken.bit_count()
+            if missing > n - k1:
+                cand = 0
+            elif missing == n - k1:
+                cand &= ~taken
+        if k1 < last:
+            masks[k1] = cand
+            k = k1
+        elif cand:
+            yield assign, cand
 
-    yield from rec(0)
+
+def _solutions(kind: str, p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
+    """Value tuples of every map of the kind, in lexicographic order."""
+    last = p.n - 1
+    for assign, mask in _search(kind, p, q, list(range(p.n))):
+        prefix = tuple(assign[:last])
+        for v in bits(mask):
+            yield prefix + (v,)
 
 
 def enumerate_maps(kind: str, p: Poset, q: Poset) -> Iterator[HomMap]:
     """Stream the maps of the given class in lexicographic order."""
-    _check_kind(kind)
-    require_nonempty(p, q)
-    if kind == "aut" and p != q:
-        raise DomainMismatch("aut enumeration needs identical domain and codomain")
+    _check_args(kind, p, q)
     for sol in _solutions(kind, p, q):
-        yield HomMap(p, q, tuple(sol))
+        yield HomMap(p, q, sol)
 
 
 def count_maps(kind: str, p: Poset, q: Poset) -> int:
     """Number of maps of the given class, without materializing them."""
-    _check_kind(kind)
-    require_nonempty(p, q)
-    if kind == "aut" and p != q:
-        raise DomainMismatch("aut enumeration needs identical domain and codomain")
-    return sum(1 for _ in _solutions(kind, p, q))
+    _check_args(kind, p, q)
+    orders = _component_orders(p)
+    if kind in ("hom", "strict"):
+        total = 1
+        for order in orders:
+            total *= sum(mask.bit_count() for _, mask in _search(kind, p, q, order))
+        return total
+    joined = [i for order in orders for i in order]
+    return sum(mask.bit_count() for _, mask in _search(kind, p, q, joined))
 
 
 def brute_force_count(kind: str, p: Poset, q: Poset, ceiling: int | None = None) -> int:
     """Oracle count: filter all |Q|^|P| value tuples through the definition."""
-    _check_kind(kind)
-    require_nonempty(p, q)
-    if kind == "aut" and p != q:
-        raise DomainMismatch("aut enumeration needs identical domain and codomain")
+    _check_args(kind, p, q)
     if ceiling is None:
         ceiling = config.DEFAULT_ORACLE_CEILING
     total = q.n ** p.n
@@ -319,12 +390,7 @@ def quotient(xi: HomMap) -> QuotientFactorization:
             if any(p.up_mask(x) & masks[b] for x in blocks[a]):
                 row |= 1 << b
         rows.append(row)
-    for c in range(k):
-        rc = rows[c]
-        bit = 1 << c
-        for a in range(k):
-            if rows[a] & bit:
-                rows[a] |= rc
+    _transitive_hull(rows)
     labels = tuple(
         "{" + ",".join(p.labels[i] for i in sorted(blk)) + "}" for blk in blocks
     )

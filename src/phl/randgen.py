@@ -35,16 +35,6 @@ def random_connected_poset(rng: random.Random, n: int, density: float = 0.3) -> 
             return p
 
 
-def random_monotone_map(rng: random.Random, p: Poset, q: Poset) -> tuple[int, ...] | None:
-    """One uniformly chosen order-preserving tuple, or None if none exists."""
-    from .homs import enumerate_maps
-
-    maps = list(enumerate_maps("hom", p, q))
-    if not maps:
-        return None
-    return rng.choice(maps).map
-
-
 def random_construction_spec(
     rng: random.Random, max_p: int = 4, max_q: int = 3
 ) -> ConstructionSpec:

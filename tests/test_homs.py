@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,10 @@ from phl.homs import (
     gamma_class_count,
     pointwise_leq,
     quotient,
+    tuple_is_embedding,
+    tuple_is_hom,
+    tuple_is_onto,
+    tuple_is_strict,
 )
 from phl.poset import catalog, direct_sum, from_pairs
 from phl.randgen import random_poset
@@ -97,13 +102,42 @@ def test_oracle_ceiling(c2):
         brute_force_count("hom", big, big, ceiling=10**6)
 
 
-@given(nonempty_posets(max_size=3), nonempty_posets(max_size=3),
+@given(nonempty_posets(max_size=5), nonempty_posets(max_size=5),
        st.sampled_from(KINDS))
 @settings(max_examples=120, deadline=None)
 def test_count_matches_oracle(p, q, kind):
     if kind == "aut":
         q = p
     assert count_maps(kind, p, q) == brute_force_count(kind, p, q)
+
+
+def satisfies(kind, p, q, f):
+    if kind == "hom":
+        return tuple_is_hom(p, q, f)
+    if kind == "strict":
+        return tuple_is_hom(p, q, f) and tuple_is_strict(p, q, f)
+    if kind == "strict_onto":
+        return tuple_is_strict(p, q, f) and tuple_is_onto(q, f)
+    if kind == "emb":
+        return tuple_is_embedding(p, q, f)
+    return tuple_is_embedding(p, q, f) and tuple_is_onto(q, f)
+
+
+@given(nonempty_posets(max_size=5), nonempty_posets(max_size=5),
+       st.sampled_from(KINDS))
+@settings(max_examples=120, deadline=None)
+def test_enumeration_is_the_filtered_product(p, q, kind):
+    if kind == "aut":
+        q = p
+    expected = [
+        f for f in itertools.product(range(q.n), repeat=p.n)
+        if satisfies(kind, p, q, f)
+    ]
+    assert [m.map for m in enumerate_maps(kind, p, q)] == expected
+
+
+def test_count_multiplies_over_domain_components():
+    assert count_maps("strict", catalog("A", 7), catalog("C", 7)) == 7**7
 
 
 @given(nonempty_posets(max_size=3), nonempty_posets(max_size=3))
