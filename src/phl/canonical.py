@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Iterator
 
 from . import config
-from ._bits import bits, popcount
+from ._bits import bits, mask_of, popcount
 from .poset import Poset, is_connected
 
 __all__ = [
@@ -109,30 +109,34 @@ def _canonical_perm(p: Poset) -> tuple[int, ...]:
     return tuple(best_perm)
 
 
-def canonical_form(p: Poset) -> bytes:
-    """Canonical relation code; equal codes characterize isomorphism."""
+def _canonical(p: Poset) -> tuple[bytes, list[int]]:
+    """Canonical code and the up-rows of p reordered canonically.
+
+    Bit r*n + c of the code is set iff canonical element r <= element c,
+    so the code is the reordered rows laid end to end.
+    """
     perm = _canonical_perm(p)
     n = p.n
+    inv = {orig: newpos for newpos, orig in enumerate(perm)}
+    rows = [mask_of(inv[j] for j in bits(p.up_mask(orig))) for orig in perm]
     flat = 0
-    pos = 0
-    for r in perm:
-        for c in perm:
-            flat |= (1 if p.leq(r, c) else 0) << pos
-            pos += 1
-    return bytes([n]) + flat.to_bytes((n * n + 7) // 8 or 1, "big")
+    for r, row in enumerate(rows):
+        flat |= row << (r * n)
+    return bytes([n]) + flat.to_bytes((n * n + 7) // 8 or 1, "big"), rows
+
+
+def _relabelled(rows: list[int]) -> Poset:
+    return Poset(tuple(f"x{i}" for i in range(len(rows))), rows)
+
+
+def canonical_form(p: Poset) -> bytes:
+    """Canonical relation code; equal codes characterize isomorphism."""
+    return _canonical(p)[0]
 
 
 def canonicalize(p: Poset) -> Poset:
     """Isomorphic copy relabelled x0..x(n-1) along the canonical ordering."""
-    perm = _canonical_perm(p)
-    inv = {orig: newpos for newpos, orig in enumerate(perm)}
-    rows = []
-    for orig in perm:
-        row = 0
-        for j in bits(p.up_mask(orig)):
-            row |= 1 << inv[j]
-        rows.append(row)
-    return Poset(tuple(f"x{i}" for i in range(p.n)), rows)
+    return _relabelled(_canonical(p)[1])
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
@@ -168,7 +172,7 @@ def _classes_of_size(n: int) -> tuple[Poset, ...]:
     elif n == 1:
         reps = (canonicalize(Poset(("x0",), (1,))),)
     else:
-        found: dict[bytes, Poset] = {}
+        found: dict[bytes, list[int]] = {}
         for base in _classes_of_size(n - 1):
             new = n - 1
             for ideal in _ideals(base):
@@ -177,11 +181,9 @@ def _classes_of_size(n: int) -> tuple[Poset, ...]:
                     for i in range(new)
                 ]
                 rows.append(1 << new)
-                cand = Poset(tuple(f"x{i}" for i in range(n)), rows)
-                code = canonical_form(cand)
-                if code not in found:
-                    found[code] = canonicalize(cand)
-        reps = tuple(found[c] for c in sorted(found))
+                code, canon_rows = _canonical(_relabelled(rows))
+                found.setdefault(code, canon_rows)
+        reps = tuple(_relabelled(found[c]) for c in sorted(found))
     _CLASS_CACHE[n] = reps
     return reps
 

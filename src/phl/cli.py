@@ -1,41 +1,32 @@
 """Command line front end.
 
 Exit codes: 0 success (or positive verdict), 1 usage error, 2 domain
-failure or negative verdict, 3 malformed input.  With --json, errors
-are emitted as one JSON object on stderr.
+failure or negative verdict, 3 malformed input, 4 internal invariant
+violated (a bug in phl, never a verdict).  With --json, errors are
+emitted as one JSON object on stderr.
+
+Each subcommand imports the modules it calls when it runs, so a cold
+start loads only what that subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from typing import TYPE_CHECKING
 
-from . import config, examples
-from .canonical import enumerate_connected, enumerate_posets
-from .construction import antichain_ev_extension, graft_pipeline
-from .errors import MalformedCertificate, MalformedDocument, PhlError
-from .evsystem import build_ev
-from .gscheme import (
-    bounded_gle_check,
-    suggest_distributing,
-    verify_certificate,
-    witness_search,
+from . import config
+from .errors import (
+    InternalInvariantViolation,
+    MalformedCertificate,
+    MalformedDocument,
+    PhlError,
 )
-from .homs import KINDS, count_maps, enumerate_maps
-from .lovasz import display_name, embeddable_connected, factor_matrices, verify_factorization
-from .poset import Poset
-from .serialize import (
-    ev_to_dot,
-    ev_to_jsonl,
-    load_certificate,
-    load_construction_spec,
-    load_poset_arg,
-    parse_catalog_ref,
-    poset_to_doc,
-    poset_to_dot,
-)
+from .homs import KINDS
+
+if TYPE_CHECKING:
+    from .poset import Poset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _poset_arg(text: str) -> Poset:
+    from .serialize import load_poset_arg
+
     return load_poset_arg(text)
 
 
@@ -129,6 +122,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_catalog(args) -> int:
+    from .serialize import parse_catalog_ref, poset_to_doc
+
     ref = args.ref
     if ref.startswith("catalog:"):
         ref = ref[len("catalog:"):]
@@ -137,11 +132,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .homs import count_maps
+
     print(count_maps(args.kind, _poset_arg(args.p), _poset_arg(args.q)))
     return 0
 
 
 def cmd_enumerate(args) -> int:
+    from .homs import enumerate_maps
+
     for m in enumerate_maps(args.kind, _poset_arg(args.p), _poset_arg(args.q)):
         lab = m.label_map()
         if args.emit == "jsonl":
@@ -152,6 +151,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .lovasz import embeddable_connected, factor_matrices
+
     targets = [_poset_arg(t) for t in args.targets]
     names = [_target_name(t) for t in args.targets]
     universe: dict[bytes, object] = {}
@@ -172,6 +173,9 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify_cert(args) -> int:
+    from .gscheme import verify_certificate
+    from .serialize import load_certificate
+
     cert = load_certificate(args.cert)
     report = verify_certificate(cert, args.bound)
     print(report.summary())
@@ -179,6 +183,9 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_check_gle(args) -> int:
+    from .gscheme import bounded_gle_check
+    from .lovasz import display_name
+
     report = bounded_gle_check(_poset_arg(args.r), _poset_arg(args.s), args.bound)
     if report.holds:
         print(f"holds_up_to_bound bound={report.bound} classes={report.classes_checked}")
@@ -191,6 +198,10 @@ def cmd_check_gle(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .gscheme import witness_search
+    from .lovasz import display_name
+    from .serialize import poset_to_doc
+
     p, (cr, cs) = witness_search(_poset_arg(args.r), _poset_arg(args.s), args.bound)
     print(f"witness size={p.n} class={display_name(p)} counts=({cr},{cs})")
     print(json.dumps(poset_to_doc(p)))
@@ -198,6 +209,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_construct_sum(args) -> int:
+    from .construction import antichain_ev_extension, graft_pipeline
+    from .serialize import load_construction_spec, poset_to_doc
+
     spec = load_construction_spec(args.spec)
     report = graft_pipeline(spec, args.verify_bound)
     result = report.result
@@ -220,6 +234,9 @@ def cmd_construct_sum(args) -> int:
 
 
 def cmd_ev(args) -> int:
+    from .evsystem import build_ev
+    from .serialize import ev_to_dot, ev_to_jsonl
+
     system = build_ev(_poset_arg(args.p))
     out = ev_to_jsonl(system) if args.format == "jsonl" else ev_to_dot(system)
     print(out, end="")
@@ -227,11 +244,15 @@ def cmd_ev(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from .serialize import poset_to_dot
+
     print(poset_to_dot(_poset_arg(args.p)), end="")
     return 0
 
 
 def cmd_suggest(args) -> int:
+    from .gscheme import suggest_distributing
+
     q = _poset_arg(args.q)
     qp = _poset_arg(args.qprime)
     found = suggest_distributing(q, qp)
@@ -242,6 +263,15 @@ def cmd_suggest(args) -> int:
 
 
 def _selftest_checks(bound: int, seed: int):
+    import random
+
+    from . import examples
+    from .canonical import enumerate_connected, enumerate_posets
+    from .construction import antichain_ev_extension, graft_pipeline
+    from .gscheme import verify_certificate
+    from .lovasz import factor_matrices, verify_factorization
+    from .serialize import parse_catalog_ref
+
     def matrices(universe_names, target_refs, sro, emb, strict):
         universe = examples.named_universe(universe_names)
         targets = tuple(parse_catalog_ref(ref) for ref in target_refs)
@@ -291,6 +321,8 @@ def cmd_selftest(args) -> int:
     for name, check in _selftest_checks(args.bound, args.seed):
         try:
             ok = check()
+        except InternalInvariantViolation:
+            raise
         except PhlError as exc:
             ok = False
             print(f"FAIL {name}: {exc}")
@@ -309,6 +341,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
+    except InternalInvariantViolation as exc:
+        _report_error(args, exc, "; this is a bug in phl, not a verdict, please report it")
+        return 4
     except (MalformedDocument, MalformedCertificate) as exc:
         _report_error(args, exc)
         return 3
@@ -317,14 +352,14 @@ def main(argv=None) -> int:
         return 2
 
 
-def _report_error(args, exc: PhlError) -> None:
+def _report_error(args, exc: PhlError, note: str = "") -> None:
     if getattr(args, "json", False):
         print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+            json.dumps({"error": type(exc).__name__, "message": f"{exc}{note}"}),
             file=sys.stderr,
         )
     else:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}{note}", file=sys.stderr)
 
 
 if __name__ == "__main__":

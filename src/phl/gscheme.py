@@ -44,7 +44,6 @@ from .errors import (
     NotADistributor,
     NotStrictOnto,
 )
-from .evsystem import ev_profile
 from .homs import HomMap, _solutions, count_maps
 from .lovasz import display_name, embeddable_connected
 from .poset import Poset, require_nonempty
@@ -83,6 +82,8 @@ def check_distributing(tau: HomMap) -> str:
     distributing, else "inconclusive"; tau must be strict and onto."""
     if not (tau.is_strict and tau.is_onto):
         raise NotStrictOnto("distributing candidates must be strict surjections")
+    from .evsystem import ev_profile
+
     prof = ev_profile(tau)
     seen = {}
     for x in range(tau.dom.n):

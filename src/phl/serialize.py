@@ -28,15 +28,17 @@ from __future__ import annotations
 
 import json
 import re
+from typing import TYPE_CHECKING
 
 from ._bits import bits
-from .construction import ConstructionSpec
 from .errors import MalformedCertificate, MalformedDocument, PhlError
-from .evsystem import EVSystem
-from .gscheme import DistributorSpec, TransportCertificate
 from .homs import HomMap
-from .lovasz import embeddable_connected
 from .poset import Poset, catalog, direct_sum, from_pairs
+
+if TYPE_CHECKING:
+    from .construction import ConstructionSpec
+    from .evsystem import EVSystem
+    from .gscheme import TransportCertificate
 
 _CATALOG_TOKEN = re.compile(r"^(A|C|V|Lambda|N2|N|W)(\d*)$")
 
@@ -111,19 +113,23 @@ def poset_from_value(value) -> Poset:
     return poset_from_doc(value)
 
 
+def _load_json(path: str, error: type[PhlError]):
+    """Parse a JSON file; unreadable files and bad JSON raise error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"bad JSON in {path}: {exc}") from exc
+
+
 def load_poset_arg(arg: str) -> Poset:
     """Command-line poset argument: catalog:REF, file:PATH, or a bare path."""
     if arg.startswith("catalog:"):
         return parse_catalog_ref(arg[len("catalog:"):])
     path = arg[len("file:"):] if arg.startswith("file:") else arg
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"bad JSON in {path}: {exc}") from exc
-    return poset_from_doc(doc)
+    return poset_from_doc(_load_json(path, MalformedDocument))
 
 
 # -- DOT ------------------------------------------------------------------
@@ -194,6 +200,9 @@ def _tau_from_doc(doc, dom: Poset, cod: Poset) -> HomMap:
 
 
 def certificate_from_doc(doc) -> TransportCertificate:
+    from .gscheme import DistributorSpec, TransportCertificate
+    from .lovasz import embeddable_connected
+
     if not isinstance(doc, dict):
         raise MalformedCertificate("certificate must be an object")
     required = {"R", "S", "qprime", "nu", "lambda", "distributors"}
@@ -298,19 +307,14 @@ def certificate_to_doc(cert: TransportCertificate) -> dict:
 
 
 def load_certificate(path: str) -> TransportCertificate:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedCertificate(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedCertificate(f"bad JSON in {path}: {exc}") from exc
-    return certificate_from_doc(doc)
+    return certificate_from_doc(_load_json(path, MalformedCertificate))
 
 
 # -- construction specs ------------------------------------------------------
 
 def construction_spec_from_doc(doc) -> ConstructionSpec:
+    from .construction import ConstructionSpec
+
     if not isinstance(doc, dict):
         raise MalformedDocument("construction spec must be an object")
     required = {"P", "Q", "A", "B", "beta"}
@@ -337,11 +341,4 @@ def construction_spec_from_doc(doc) -> ConstructionSpec:
 
 
 def load_construction_spec(path: str) -> ConstructionSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"bad JSON in {path}: {exc}") from exc
-    return construction_spec_from_doc(doc)
+    return construction_spec_from_doc(_load_json(path, MalformedDocument))

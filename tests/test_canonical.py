@@ -71,16 +71,18 @@ def test_named_small_posets_are_distinguished():
 
 def test_enumeration_counts_match_known_values():
     per_size = {}
-    for p in enumerate_posets(6):
+    for p in enumerate_posets(7):
         per_size[p.n] = per_size.get(p.n, 0) + 1
-    assert per_size == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+    # OEIS A000112
+    assert per_size == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 
 
 def test_connected_enumeration_counts_match_known_values():
     per_size = {}
-    for p in enumerate_connected(6):
+    for p in enumerate_connected(7):
         per_size[p.n] = per_size.get(p.n, 0) + 1
-    assert per_size == {1: 1, 2: 1, 3: 3, 4: 10, 5: 44, 6: 238}
+    # OEIS A000608
+    assert per_size == {1: 1, 2: 1, 3: 3, 4: 10, 5: 44, 6: 238, 7: 1650}
 
 
 def test_enumerated_classes_are_canonical_and_distinct():

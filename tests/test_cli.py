@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from phl.cli import main
+from phl.errors import InternalInvariantViolation
 from phl.examples import zigzag_to_chain_certificate
 from phl.poset import catalog
 from phl.serialize import certificate_to_doc, poset_from_doc
@@ -241,3 +244,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4"
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("phl.homs.count_maps", ["count", "--kind", "strict", "--p", "catalog:N", "--q", "catalog:N"]),
+        ("phl.gscheme.verify_certificate", ["--json", "selftest"]),
+    ],
+)
+def test_internal_invariant_violation_exits_4(capsys, monkeypatch, target, argv):
+    def broken(*args, **kwargs):
+        raise InternalInvariantViolation("broken on purpose")
+
+    monkeypatch.setattr(target, broken)
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert "InternalInvariantViolation" in err
+    assert "broken on purpose" in err
+    assert "bug in phl" in err
