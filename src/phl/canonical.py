@@ -11,6 +11,8 @@ Isomorphism-class enumeration grows posets one element at a time: every
 poset on n+1 elements arises from one on n elements by adding a new
 maximal element above an order ideal, so extending every class of size
 n by every ideal and deduplicating by canonical code is exhaustive.
+IsoClassTable is that deduplication, and the one place any caller
+turns posets into a table of classes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from ._bits import bits, mask_of, popcount
 from .poset import Poset, is_connected
 
 __all__ = [
+    "IsoClassTable",
     "canonical_form",
     "canonicalize",
     "is_isomorphic",
@@ -159,6 +162,28 @@ def all_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
             yield perm
 
 
+class IsoClassTable:
+    """Isomorphism classes of the given posets, in (size, code) order.
+
+    Each poset is coded once and each class is kept as its canonical
+    representative.  Byte 0 of a code is the size, so code order is
+    (size, code) order.
+    """
+
+    __slots__ = ("codes", "posets")
+
+    def __init__(self, posets):
+        found: dict[bytes, list[int]] = {}
+        for p in posets:
+            code, rows = _canonical(p)
+            found.setdefault(code, rows)
+        self.codes = tuple(sorted(found))
+        self.posets = tuple(_relabelled(found[c]) for c in self.codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
 _CLASS_CACHE: dict[int, tuple[Poset, ...]] = {}
 _CONNECTED_CACHE: dict[int, tuple[Poset, ...]] = {}
 
@@ -169,23 +194,23 @@ def _classes_of_size(n: int) -> tuple[Poset, ...]:
         return _CLASS_CACHE[n]
     if n == 0:
         reps: tuple[Poset, ...] = (Poset((), ()),)
-    elif n == 1:
-        reps = (canonicalize(Poset(("x0",), (1,))),)
     else:
-        found: dict[bytes, list[int]] = {}
-        for base in _classes_of_size(n - 1):
-            new = n - 1
-            for ideal in _ideals(base):
-                rows = [
-                    base._up[i] | ((1 << new) if (ideal >> i) & 1 else 0)
-                    for i in range(new)
-                ]
-                rows.append(1 << new)
-                code, canon_rows = _canonical(_relabelled(rows))
-                found.setdefault(code, canon_rows)
-        reps = tuple(_relabelled(found[c]) for c in sorted(found))
+        reps = IsoClassTable(_extensions(n)).posets
     _CLASS_CACHE[n] = reps
     return reps
+
+
+def _extensions(n: int) -> Iterator[Poset]:
+    """Every class of size n - 1 with a new maximal element over each ideal."""
+    new = n - 1
+    for base in _classes_of_size(new):
+        for ideal in _ideals(base):
+            rows = [
+                base._up[i] | ((1 << new) if (ideal >> i) & 1 else 0)
+                for i in range(new)
+            ]
+            rows.append(1 << new)
+            yield _relabelled(rows)
 
 
 def _ideals(p: Poset) -> Iterator[int]:

@@ -155,12 +155,7 @@ def cmd_matrix(args) -> int:
 
     targets = [_poset_arg(t) for t in args.targets]
     names = [_target_name(t) for t in args.targets]
-    universe: dict[bytes, object] = {}
-    for t in targets:
-        table = embeddable_connected(t)
-        for code, rep in zip(table.codes, table.posets):
-            universe.setdefault(code, rep)
-    rows = [universe[c] for c in sorted(universe, key=lambda c: (c[0], c))]
+    rows = embeddable_connected(*targets).posets
     mats = factor_matrices(rows, targets, target_names=names)
     render = (lambda m: m.to_csv()) if args.format == "csv" else (lambda m: m.to_pretty())
     print("# strict-surjection orbits")
@@ -273,7 +268,7 @@ def _selftest_checks(bound: int, seed: int):
     from .serialize import parse_catalog_ref
 
     def matrices(universe_names, target_refs, sro, emb, strict):
-        universe = examples.named_universe(universe_names)
+        universe = tuple(parse_catalog_ref(name) for name in universe_names)
         targets = tuple(parse_catalog_ref(ref) for ref in target_refs)
         mats = factor_matrices(
             universe, targets, row_names=universe_names, target_names=target_refs

@@ -75,16 +75,6 @@ LOWER_STRICT = (
 )
 
 
-def named_universe(names) -> tuple[Poset, ...]:
-    out = []
-    for name in names:
-        if name in ("N", "W", "N2"):
-            out.append(catalog(name))
-        else:
-            out.append(catalog(name[0] if name[0] != "L" else "Lambda", int(name[-1])))
-    return tuple(out)
-
-
 def zigzag_to_chain_certificate() -> TransportCertificate:
     """The zigzag N compares below the sum of a point and a 3-chain."""
     a1 = catalog("A", 1)

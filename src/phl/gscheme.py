@@ -85,12 +85,8 @@ def check_distributing(tau: HomMap) -> str:
     from .evsystem import ev_profile
 
     prof = ev_profile(tau)
-    seen = {}
-    for x in range(tau.dom.n):
-        e = prof[x]
-        if e in seen:
-            return "inconclusive"
-        seen[e] = x
+    if len(set(prof.triples)) < tau.dom.n:
+        return "inconclusive"
     f = tau.map
     n = tau.dom.n
     for x in range(n):
@@ -289,10 +285,8 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _failed(cert, n_max, reason, ineqs=(), dreports=(), scan=None) -> CertificateReport:
-    return CertificateReport(
-        "failed", n_max, reason, tuple(ineqs), tuple(dreports), scan
-    )
+def _failed(n_max, reason, ineqs=(), dreports=()) -> CertificateReport:
+    return CertificateReport("failed", n_max, reason, tuple(ineqs), tuple(dreports), None)
 
 
 def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> CertificateReport:
@@ -309,20 +303,22 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     require_nonempty(cert.r, cert.s)
 
     # hypothesis (i): the class lists are exactly the embeddable classes
+    side_codes = []
     for side, posets, target in (
         ("R", cert.q_classes, cert.r),
         ("S", cert.qprime_classes, cert.s),
     ):
-        table = embeddable_connected(target)
         codes = [canonical_form(p) for p in posets]
         if len(set(codes)) != len(codes):
-            return _failed(cert, n_max, f"hypothesis (i): {side} classes repeat")
-        if sorted(codes) != sorted(table.codes):
+            return _failed(n_max, f"hypothesis (i): {side} classes repeat")
+        if sorted(codes) != list(embeddable_connected(target).codes):
             return _failed(
-                cert, n_max,
+                n_max,
                 f"hypothesis (i): {side} classes differ from the classes "
                 f"embeddable in {side}",
             )
+        side_codes.append(codes)
+    q_codes, qprime_codes = side_codes
 
     i_count = len(cert.q_classes)
     j_star = [j for j, count in enumerate(cert.nu) if count >= 1]
@@ -330,12 +326,12 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     # structural match between lambda and the distributor sources
     for j in j_star:
         dist = cert.distributors[j]
-        if not is_isomorphic(dist.target, cert.qprime_classes[j]):
+        if canonical_form(dist.target) != qprime_codes[j]:
             raise MalformedCertificate(
                 f"distributor {j} targets a poset not isomorphic to target class {j}"
             )
         for k, tau in enumerate(dist.sources):
-            if not is_isomorphic(tau.dom, cert.q_classes[cert.lam[j][k]]):
+            if canonical_form(tau.dom) != q_codes[cert.lam[j][k]]:
                 raise MalformedCertificate(
                     f"distributor {j} source {k} is not isomorphic to the "
                     f"assigned source class {cert.lam[j][k]}"
@@ -350,7 +346,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     if uncovered:
         names = ", ".join(display_name(cert.q_classes[i]) for i in uncovered)
         return _failed(
-            cert, n_max, f"hypothesis (iii): source classes not covered: {names}"
+            n_max, f"hypothesis (iii): source classes not covered: {names}"
         )
 
     # hypothesis (v): every used target class carries a distributor
@@ -360,7 +356,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
             dreports.append(check_distributor(cert.distributors[j], n_max))
         except NotADistributor as exc:
             return _failed(
-                cert, n_max,
+                n_max,
                 f"hypothesis (v): distributor for "
                 f"{display_name(cert.qprime_classes[j])}: {exc}",
                 dreports=dreports,
@@ -384,7 +380,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     bad = [ineq for ineq in ineqs if not ineq.holds]
     if bad:
         return _failed(
-            cert, n_max,
+            n_max,
             f"count inequality fails at {bad[0].target_name}: "
             f"{bad[0].lhs} > {bad[0].rhs}",
             ineqs=ineqs, dreports=dreports,

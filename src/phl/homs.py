@@ -48,7 +48,7 @@ from .errors import (
     NotAPartialOrder,
     OracleTooLarge,
 )
-from .poset import Poset, _transitive_hull, gamma, require_nonempty
+from .poset import Poset, _component_orders, _transitive_hull, gamma, require_nonempty
 
 KINDS = ("hom", "strict", "strict_onto", "emb", "aut")
 
@@ -171,26 +171,6 @@ def _check_args(kind: str, p: Poset, q: Poset) -> None:
     require_nonempty(p, q)
     if kind == "aut" and p != q:
         raise DomainMismatch("aut enumeration needs identical domain and codomain")
-
-
-def _component_orders(p: Poset) -> list[list[int]]:
-    """Breadth-first orders of the zigzag components, by least element."""
-    orders = []
-    left = p.full_mask
-    while left:
-        start = (left & -left).bit_length() - 1
-        order = [start]
-        seen = 1 << start
-        for x in order:
-            new = (p._up[x] | p._down[x]) & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                order.append(low.bit_length() - 1)
-                new ^= low
-        left &= ~seen
-        orders.append(order)
-    return orders
 
 
 def _search(kind: str, p: Poset, q: Poset,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import bits
-from .canonical import canonical_form, canonicalize, is_isomorphic
+from .canonical import IsoClassTable, canonical_form
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -25,54 +25,23 @@ from .errors import (
     UniverseMismatch,
 )
 from .homs import count_maps
-from .poset import Poset, catalog, gamma, induced, is_connected, require_nonempty
+from .poset import Poset, gamma, induced, is_connected, require_nonempty
 
 
-class IsoClassTable:
-    """Isomorphism classes keyed by canonical code, ordered (size, code)."""
-
-    __slots__ = ("codes", "posets", "_pos")
-
-    def __init__(self, posets):
-        entries: dict[bytes, Poset] = {}
-        for p in posets:
-            code = canonical_form(p)
-            if code not in entries:
-                entries[code] = p
-        ordered = sorted(entries, key=lambda c: (c[0], c))
-        self.codes = tuple(ordered)
-        self.posets = tuple(entries[c] for c in ordered)
-        self._pos = {c: i for i, c in enumerate(ordered)}
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def position(self, p: Poset):
-        """Position of p's class, or None when absent."""
-        return self._pos.get(canonical_form(p))
-
-    def __contains__(self, p: Poset) -> bool:
-        return self.position(p) is not None
-
-
-def embeddable_connected(t: Poset) -> IsoClassTable:
-    """Classes of connected posets embeddable into t.
+def embeddable_connected(*targets: Poset) -> IsoClassTable:
+    """Classes of connected posets embeddable into at least one target.
 
     Embeddings are exactly isomorphisms onto induced subposets, so the
-    table collects the connected induced subposets of t up to
+    table collects the connected induced subposets of the targets up to
     isomorphism, as canonical representatives.
     """
-    require_nonempty(t)
-    reps: dict[bytes, Poset] = {}
-    for m in range(1, 1 << t.n):
-        members = tuple(bits(m))
-        if gamma(t, members, members[0]) != frozenset(members):
-            continue
-        sub = induced(t, members)
-        code = canonical_form(sub)
-        if code not in reps:
-            reps[code] = canonicalize(sub)
-    return IsoClassTable(reps.values())
+    require_nonempty(*targets)
+    return IsoClassTable(
+        induced(t, members)
+        for t in targets
+        for members in (tuple(bits(m)) for m in range(1, 1 << t.n))
+        if gamma(t, members, members[0]) == frozenset(members)
+    )
 
 
 def count_strict_onto_orbits(p: Poset, q: Poset) -> int:
@@ -132,29 +101,22 @@ class FactorMatrices:
     strict: CountMatrix
 
 
-_NAMED_CLASSES: list[tuple[str, Poset]] = []
-
-
-def _named_classes() -> list[tuple[str, Poset]]:
-    if not _NAMED_CLASSES:
-        for k in range(1, 5):
-            _NAMED_CLASSES.append((f"A{k}", catalog("A", k)))
-        for k in range(2, 5):
-            _NAMED_CLASSES.append((f"C{k}", catalog("C", k)))
-        for k in range(3, 5):
-            _NAMED_CLASSES.append((f"V{k}", catalog("V", k)))
-            _NAMED_CLASSES.append((f"Lambda{k}", catalog("Lambda", k)))
-        for name in ("N", "W", "N2"):
-            _NAMED_CLASSES.append((name, catalog(name)))
-    return _NAMED_CLASSES
+_CATALOG_NAMES = (
+    "A1", "A2", "A3", "A4", "C2", "C3", "C4",
+    "V3", "Lambda3", "V4", "Lambda4", "N", "W", "N2",
+)
+_NAME_OF_CODE: dict[bytes, str] = {}
 
 
 def display_name(p: Poset) -> str:
     """Catalog name of p's class when it has one, else a code-based tag."""
-    for name, rep in _named_classes():
-        if rep.n == p.n and is_isomorphic(rep, p):
-            return name
-    return f"P{p.n}#{canonical_form(p)[1:3].hex()}"
+    if not _NAME_OF_CODE:
+        from .serialize import parse_catalog_ref
+
+        for name in _CATALOG_NAMES:
+            _NAME_OF_CODE[canonical_form(parse_catalog_ref(name))] = name
+    code = canonical_form(p)
+    return _NAME_OF_CODE.get(code) or f"P{p.n}#{code[1:3].hex()}"
 
 
 def factor_matrices(
@@ -180,11 +142,8 @@ def factor_matrices(
     for p in universe:
         if not is_connected(p):
             raise UniverseMismatch("universe members must be connected")
-    needed: dict[bytes, Poset] = {}
-    for t in targets:
-        table = embeddable_connected(t)
-        for code, rep in zip(table.codes, table.posets):
-            needed.setdefault(code, rep)
+    table = embeddable_connected(*targets)
+    needed = dict(zip(table.codes, table.posets))
     have = set(codes)
     if have != set(needed):
         missing = sorted(display_name(needed[c]) for c in set(needed) - have)

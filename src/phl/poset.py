@@ -409,21 +409,34 @@ class Partition:
         return len(self.blocks)
 
 
+def _component_orders(p: Poset) -> list[list[int]]:
+    """Breadth-first orders of the zigzag components, by least element."""
+    orders = []
+    left = p.full_mask
+    while left:
+        start = (left & -left).bit_length() - 1
+        order = [start]
+        seen = 1 << start
+        for x in order:
+            new = (p._up[x] | p._down[x]) & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                order.append(low.bit_length() - 1)
+                new ^= low
+        left &= ~seen
+        orders.append(order)
+    return orders
+
+
 def components(p: Poset) -> Partition:
     """Zigzag components of the whole carrier, ordered by least element."""
-    remaining = p.full_mask
-    blocks = []
-    while remaining:
-        x = next(bits(remaining))
-        comp = gamma(p, bits(remaining), x)
-        blocks.append(comp)
-        remaining &= ~mask_of(comp)
-    return Partition(tuple(blocks))
+    return Partition(tuple(frozenset(order) for order in _component_orders(p)))
 
 
 def is_connected(p: Poset) -> bool:
     """True iff nonempty and a single zigzag component."""
-    return p.n > 0 and len(components(p)) == 1
+    return p.n > 0 and len(_component_orders(p)) == 1
 
 
 def require_nonempty(*posets: Poset) -> None:

@@ -199,6 +199,14 @@ def _tau_from_doc(doc, dom: Poset, cod: Poset) -> HomMap:
         raise MalformedCertificate(f"bad tau: {exc}") from exc
 
 
+def _cert_poset(value) -> Poset:
+    """poset_from_value, reporting a malformed poset as MalformedCertificate."""
+    try:
+        return poset_from_value(value)
+    except MalformedDocument as exc:
+        raise MalformedCertificate(str(exc)) from exc
+
+
 def certificate_from_doc(doc) -> TransportCertificate:
     from .gscheme import DistributorSpec, TransportCertificate
     from .lovasz import embeddable_connected
@@ -212,26 +220,17 @@ def certificate_from_doc(doc) -> TransportCertificate:
     extra = set(doc) - required - {"q"}
     if extra:
         raise MalformedCertificate(f"unknown certificate keys: {sorted(extra)}")
-    try:
-        r = poset_from_value(doc["R"])
-        s = poset_from_value(doc["S"])
-    except MalformedDocument as exc:
-        raise MalformedCertificate(str(exc)) from exc
+    r = _cert_poset(doc["R"])
+    s = _cert_poset(doc["S"])
     if "q" in doc:
         if not isinstance(doc["q"], list):
             raise MalformedCertificate("q must be a list")
-        try:
-            q_classes = tuple(poset_from_value(v) for v in doc["q"])
-        except MalformedDocument as exc:
-            raise MalformedCertificate(str(exc)) from exc
+        q_classes = tuple(_cert_poset(v) for v in doc["q"])
     else:
         q_classes = embeddable_connected(r).posets
     if not isinstance(doc["qprime"], list):
         raise MalformedCertificate("qprime must be a list")
-    try:
-        qprime = tuple(poset_from_value(v) for v in doc["qprime"])
-    except MalformedDocument as exc:
-        raise MalformedCertificate(str(exc)) from exc
+    qprime = tuple(_cert_poset(v) for v in doc["qprime"])
     nu = doc["nu"]
     lam = doc["lambda"]
     dists = doc["distributors"]
@@ -253,10 +252,7 @@ def certificate_from_doc(doc) -> TransportCertificate:
         if not isinstance(dd, dict) or set(dd) - {"target", "sources"}:
             raise MalformedCertificate(f"bad distributor object at {j}")
         if "target" in dd:
-            try:
-                target = poset_from_value(dd["target"])
-            except MalformedDocument as exc:
-                raise MalformedCertificate(str(exc)) from exc
+            target = _cert_poset(dd["target"])
         elif j < len(qprime):
             target = qprime[j]
         else:
@@ -265,11 +261,7 @@ def certificate_from_doc(doc) -> TransportCertificate:
         for sd in dd.get("sources", []):
             if not isinstance(sd, dict) or set(sd) - {"poset", "tau"} or "poset" not in sd or "tau" not in sd:
                 raise MalformedCertificate(f"bad source object in distributor {j}")
-            try:
-                dom = poset_from_value(sd["poset"])
-            except MalformedDocument as exc:
-                raise MalformedCertificate(str(exc)) from exc
-            sources.append(_tau_from_doc(sd["tau"], dom, target))
+            sources.append(_tau_from_doc(sd["tau"], _cert_poset(sd["poset"]), target))
         try:
             specs.append(DistributorSpec(tuple(sources), target))
         except PhlError as exc:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phl.canonical import (
+    IsoClassTable,
     all_isomorphisms,
     canonical_form,
     canonicalize,
@@ -92,6 +93,15 @@ def test_enumerated_classes_are_canonical_and_distinct():
         assert code not in seen
         seen.add(code)
         assert canonicalize(p) == p
+
+
+def test_class_table_of_shuffled_copies_is_the_enumeration():
+    classes = list(enumerate_posets(4))
+    copies = [shuffled_copy(p, seed) for seed in range(3) for p in reversed(classes)]
+    table = IsoClassTable(copies)
+    assert len(table) == len(classes)
+    assert table.posets == tuple(classes)
+    assert table.codes == tuple(canonical_form(p) for p in classes)
 
 
 def test_connected_enumeration_is_the_connected_slice():

@@ -151,7 +151,17 @@ def test_certificate_fails_on_wrong_class_list():
     broken = dataclasses.replace(cert, q_classes=swapped)
     report = verify_certificate(broken, 4)
     assert not report.certified
-    assert "hypothesis (i)" in report.failure
+    assert report.failure == (
+        "hypothesis (i): R classes differ from the classes embeddable in R"
+    )
+    repeated = cert.q_classes[:-1] + (cert.q_classes[0],)
+    report = verify_certificate(dataclasses.replace(cert, q_classes=repeated), 4)
+    assert report.failure == "hypothesis (i): R classes repeat"
+    # V3, Lambda3 and N do not embed in A1+C3, and C3 does not embed in N
+    report = verify_certificate(dataclasses.replace(cert, s=cert.r), 4)
+    assert report.failure == (
+        "hypothesis (i): S classes differ from the classes embeddable in S"
+    )
 
 
 def test_certificate_fails_on_uncovered_class():
@@ -193,8 +203,12 @@ def test_certificate_mismatched_distributor_raises():
     broken = dataclasses.replace(
         cert, lam=(cert.lam[0], cert.lam[1], (0, 1, 2))
     )
-    with pytest.raises(MalformedCertificate):
+    with pytest.raises(MalformedCertificate, match="source 0 is not isomorphic"):
         verify_certificate(broken, 4)
+    # the C2 distributor also stands for target class A1
+    dists = (cert.distributors[1],) + cert.distributors[1:]
+    with pytest.raises(MalformedCertificate, match="distributor 0 targets"):
+        verify_certificate(dataclasses.replace(cert, distributors=dists), 4)
 
 
 def test_witness_search(c2, c3, v3):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from phl.canonical import canonical_form
+from phl.canonical import canonical_form, canonicalize, enumerate_posets, is_isomorphic
 from phl.errors import InvalidParameter, UniverseMismatch
 from phl.homs import count_maps
 from phl.lovasz import (
@@ -139,6 +139,42 @@ def test_display_names():
     assert display_name(catalog("N2")) == "N2"
     odd = from_pairs("abcde", [("a", "b"), ("a", "c"), ("a", "d"), ("a", "e")])
     assert display_name(odd).startswith("P5#")
+
+
+CATALOG_REFS = (
+    ("A1", "A", 1), ("A2", "A", 2), ("A3", "A", 3), ("A4", "A", 4),
+    ("C2", "C", 2), ("C3", "C", 3), ("C4", "C", 4),
+    ("V3", "V", 3), ("Lambda3", "Lambda", 3), ("V4", "V", 4), ("Lambda4", "Lambda", 4),
+    ("N", "N", None), ("W", "W", None), ("N2", "N2", None),
+)
+
+
+def test_display_name_matches_isomorphism_scan():
+    named = [
+        (name, catalog(shape) if k is None else catalog(shape, k))
+        for name, shape, k in CATALOG_REFS
+    ]
+    for p in list(enumerate_posets(5)) + catalog_zoo():
+        matches = [name for name, rep in named if is_isomorphic(rep, p)]
+        if matches:
+            assert display_name(p) == matches[0]
+        else:
+            assert display_name(p).startswith(f"P{p.n}#")
+
+
+def test_embeddable_over_two_targets_is_the_union():
+    rng = random.Random(11)
+    for _ in range(20):
+        t1 = random_poset(rng, rng.randint(1, 5))
+        t2 = random_poset(rng, rng.randint(1, 5))
+        if t1.n == 0 or t2.n == 0:
+            continue
+        table = embeddable_connected(t1, t2)
+        union = set(embeddable_connected(t1).codes) | set(embeddable_connected(t2).codes)
+        assert list(table.codes) == sorted(union)
+        for code, rep in zip(table.codes, table.posets):
+            assert canonicalize(rep) == rep
+            assert canonical_form(rep) == code
 
 
 def test_matrix_rendering():

@@ -176,6 +176,19 @@ def test_components_and_connectivity(c2):
     assert not is_connected(from_pairs([], []))
 
 
+@given(posets(max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_components_match_gamma_scan(p):
+    # the partition the breadth-first routine builds, against gamma's scan
+    blocks, left = [], set(range(p.n))
+    while left:
+        block = gamma(p, range(p.n), min(left))
+        blocks.append(block)
+        left -= block
+    assert components(p).blocks == tuple(blocks)
+    assert is_connected(p) == (len(blocks) == 1)
+
+
 def test_antichain_predicate(n_poset, c2):
     assert n_poset.is_antichain([0, 1])
     assert not c2.is_antichain([0, 1])
