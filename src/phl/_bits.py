@@ -29,6 +29,3 @@ def submasks(mask: int) -> Iterator[int]:
             return
         sub = (sub - mask) & mask
 
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()

@@ -21,7 +21,7 @@ from itertools import permutations
 from typing import Iterator
 
 from . import config
-from ._bits import bits, mask_of, popcount
+from ._bits import bits, mask_of
 from .poset import Poset, is_connected
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 def _refined_classes(p: Poset) -> list[int]:
     """Isomorphism-invariant class id per element, ids sorted by invariant."""
     n = p.n
-    key = [(popcount(p.downo_mask(i)), popcount(p.upo_mask(i)), p.heights[i]) for i in range(n)]
+    key = [(p.downo_mask(i).bit_count(), p.upo_mask(i).bit_count(), p.heights[i]) for i in range(n)]
     while True:
         trip = [
             (
@@ -56,59 +56,41 @@ def _refined_classes(p: Poset) -> list[int]:
 
 
 def _canonical_perm(p: Poset) -> tuple[int, ...]:
-    """Ordering of the carrier realizing the minimal relation code."""
+    """Ordering of the carrier realizing the minimal relation code.
+
+    Position t takes an element of refinement class sorted(cls)[t]; a
+    prefix is cut as soon as its last step exceeds the best code's.
+    """
     n = p.n
-    if n == 0:
-        return ()
     cls = _refined_classes(p)
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(cls):
-        groups.setdefault(c, []).append(i)
-    class_order = sorted(groups)
-
-    best_code: list[int] | None = None
-    best_perm: list[int] | None = None
-    placed: list[int] = []
-    code: list[int] = []
+    slot = [mask_of(i for i in range(n) if cls[i] == c) for c in sorted(cls)]
     up = p._up
+    best: list[int] = []
+    best_perm: list[int] = []
+    code: list[int] = []
+    perm: list[int] = []
 
-    def rec(tight: bool) -> None:
-        nonlocal best_code, best_perm
-        t = len(placed)
+    def rec(placed: int, tight: bool) -> None:
+        t = len(perm)
         if t == n:
-            if best_code is None or code < best_code:
-                best_code = list(code)
-                best_perm = list(placed)
+            if not best or code < best:
+                best[:] = code
+                best_perm[:] = perm
             return
-        # elements of the earliest class still unplaced
-        cid = None
-        for c in class_order:
-            if any(e not in placed_set for e in groups[c]):
-                cid = c
-                break
-        for e in groups[cid]:
-            if e in placed_set:
-                continue
+        for e in bits(slot[t] & ~placed):
             step = 0
-            for pos, q in enumerate(placed):
+            for pos, q in enumerate(perm):
                 step |= ((up[q] >> e) & 1) << (2 * pos)
                 step |= ((up[e] >> q) & 1) << (2 * pos + 1)
-            now_tight = tight
-            if tight and best_code is not None:
-                if step > best_code[t]:
-                    continue
-                if step < best_code[t]:
-                    now_tight = False
-            placed.append(e)
-            placed_set.add(e)
+            if tight and best and step > best[t]:
+                continue
+            perm.append(e)
             code.append(step)
-            rec(now_tight)
+            rec(placed | 1 << e, tight and (not best or step == best[t]))
             code.pop()
-            placed_set.remove(e)
-            placed.pop()
+            perm.pop()
 
-    placed_set: set[int] = set()
-    rec(True)
+    rec(0, True)
     return tuple(best_perm)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import config
-from ._bits import bits, mask_of
+from ._bits import bits
 from .canonical import is_isomorphic
 from .errors import (
     CarriersNotDisjoint,
@@ -45,7 +45,7 @@ from .evsystem import EVElement, EVMap, build_ev, is_strict_ev_hom
 from .gscheme import WitnessReport, bounded_gle_check
 from .homs import HomMap, count_maps
 from .lovasz import display_name, embeddable_connected
-from .poset import Poset, direct_sum, induced, is_convex
+from .poset import Poset, _convexity_witness, direct_sum, induced
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,10 @@ def _validate_spec(spec: ConstructionSpec) -> dict[int, int]:
     for i in b:
         if not (0 <= i < q.n):
             raise UnknownLabel(f"index {i} outside the second carrier")
-    if not is_convex(p, a):
-        witness = _convexity_witness(p, a)
-        raise NotConvex("A", witness)
-    if not is_convex(q, b):
-        witness = _convexity_witness(q, b)
-        raise NotConvex("B", witness)
+    for which, poset, idx in (("A", p, a), ("B", q, b)):
+        witness = _convexity_witness(poset, idx)
+        if witness:
+            raise NotConvex(which, tuple(poset.labels[i] for i in witness))
     beta = dict(spec.beta)
     if sorted(beta) != a or sorted(set(beta.values())) != b or len(beta) != len(spec.a):
         raise NotIsomorphism("beta must be a bijection from A onto B")
@@ -138,18 +136,6 @@ def _validate_spec(spec: ConstructionSpec) -> dict[int, int]:
                     f"beta does not preserve order at ({p.labels[x]}, {p.labels[y]})"
                 )
     return beta
-
-
-def _convexity_witness(p: Poset, subset) -> tuple[str, str, str]:
-    smask = mask_of(subset)
-    for x in subset:
-        for y in subset:
-            if p.leq(x, y):
-                gap = (p.up_mask(x) & p.down_mask(y)) & ~smask
-                if gap:
-                    z = next(bits(gap))
-                    return (p.labels[x], p.labels[z], p.labels[y])
-    raise InternalInvariantViolation("no convexity witness in a non-convex subset")
 
 
 def build_graft(spec: ConstructionSpec) -> GraftResult:
@@ -309,30 +295,17 @@ def antichain_ev_extension(spec: ConstructionSpec) -> tuple[EVMap, ExtensionRepo
     source = build_ev(summed)
     target = build_ev(extended)
 
-    # positions: summed = p (0..p.n-1) then q; extended = a_prime then t,
-    # t = w then y
+    # summed = p then q; psi carries p into extended and q keeps its labels
     ext_index = {lab: i for i, lab in enumerate(extended.labels)}
-    psi_ext = list(result.psi.map)
-    q_to_ext = [ext_index[lab] for lab in q.labels]
-    aprime_to_ext = [ext_index[lab] for lab in result.a_prime.labels]
-    a_sorted = sorted(spec.a)
+    carrier = result.psi.map + tuple(ext_index[lab] for lab in q.labels)
 
     mapping = []
     for e in source.elements:
-        if e.anchor >= p.n:
-            # anchored in Q: identical point, translated to the new carrier
-            anc = q_to_ext[e.anchor - p.n]
-            d = mask_of(q_to_ext[i - p.n] for i in bits(e.down))
-            u = mask_of(q_to_ext[i - p.n] for i in bits(e.up))
-        elif e.anchor in spec.a and e.down == 0 and e.up == 0:
+        if e.anchor in spec.a and e.down == 0 and e.up == 0:
             # a bare point of P|A: kept on the a_prime copy
-            anc = aprime_to_ext[a_sorted.index(e.anchor)]
-            d = u = 0
+            img = EVElement(ext_index[p.labels[e.anchor]], 0, 0)
         else:
-            anc = psi_ext[e.anchor]
-            d = mask_of(psi_ext[i] for i in bits(e.down))
-            u = mask_of(psi_ext[i] for i in bits(e.up))
-        img = EVElement(anc, d, u)
+            img = e.pushed(carrier)
         if img not in target:
             raise InternalInvariantViolation(
                 f"extension leaves the target system at {e.render(summed)}"

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import config
-from ._bits import bits, mask_of, popcount, submasks
+from ._bits import bits, mask_of, submasks
 from .canonical import enumerate_connected
 from .errors import (
     EmptyPoset,
@@ -55,6 +55,14 @@ class EVElement:
         d = ",".join(base.labels[i] for i in bits(self.down))
         u = ",".join(base.labels[i] for i in bits(self.up))
         return f"({base.labels[self.anchor]};{{{d}}};{{{u}}})"
+
+    def pushed(self, f) -> "EVElement":
+        """The image point (f anchor, f down, f up) under a carrier map f."""
+        return EVElement(
+            f[self.anchor],
+            mask_of(f[i] for i in bits(self.down)),
+            mask_of(f[i] for i in bits(self.up)),
+        )
 
 
 class EVSystem:
@@ -103,7 +111,7 @@ class EVSystem:
 def ev_size(p: Poset) -> int:
     """Number of vicinity points, computed without materializing them."""
     return sum(
-        1 << (popcount(p.downo_mask(x)) + popcount(p.upo_mask(x)))
+        1 << (p.downo_mask(x).bit_count() + p.upo_mask(x).bit_count())
         for x in range(p.n)
     )
 
@@ -150,26 +158,29 @@ class EVProfile:
         return self.triples[x]
 
 
+def _profile(p: Poset, q: Poset, f) -> tuple[EVElement, ...]:
+    """Each base point (x, down x, up x) of p pushed through f into q's system."""
+    triples = tuple(
+        EVElement(x, p.downo_mask(x), p.upo_mask(x)).pushed(f) for x in range(p.n)
+    )
+    for e in triples:
+        if e.down & ~q.downo_mask(e.anchor) or e.up & ~q.upo_mask(e.anchor):
+            raise InternalInvariantViolation("profile escapes the codomain vicinities")
+    return triples
+
+
 def ev_profile(xi: HomMap) -> EVProfile:
     """Profile of a strict map; raises NotStrict otherwise."""
     if not xi.is_strict:
         raise NotStrict("profiles are defined for strict maps")
     p, q = xi.dom, xi.cod
-    f = xi.map
-    triples = []
-    for x in range(p.n):
-        d = mask_of(f[y] for y in bits(p.downo_mask(x)))
-        u = mask_of(f[y] for y in bits(p.upo_mask(x)))
-        e = EVElement(f[x], d, u)
-        if d & ~q.downo_mask(f[x]) or u & ~q.upo_mask(f[x]):
-            raise InternalInvariantViolation("profile escapes the codomain vicinities")
-        triples.append(e)
+    triples = _profile(p, q, xi.map)
     for x in range(p.n):
         for y in bits(p.upo_mask(x)):
             a, b = triples[x], triples[y]
             if not ((b.down >> a.anchor) & 1 and (a.up >> b.anchor) & 1):
                 raise InternalInvariantViolation("profile of a strict map is not <+-strict")
-    return EVProfile(p, q, tuple(triples))
+    return EVProfile(p, q, triples)
 
 
 @dataclass(frozen=True)
@@ -199,14 +210,9 @@ class EVMap:
         """
         if base.dom != source.base or base.cod != target.base:
             raise InvalidParameter("base map does not connect the two systems")
-        f = base.map
         out = []
         for e in source.elements:
-            img = EVElement(
-                f[e.anchor],
-                mask_of(f[i] for i in bits(e.down)),
-                mask_of(f[i] for i in bits(e.up)),
-            )
+            img = e.pushed(base.map)
             if img not in target:
                 raise InvalidParameter(f"pushforward leaves the target system at {e}")
             out.append(target.position(img))
@@ -305,23 +311,12 @@ def check_ev_scheme(
             count += 1
             maps_checked += 1
             # profile of xi over r, pushed through eps
-            eta = []
-            for x in range(p.n):
-                d = mask_of(f[y] for y in bits(p.downo_mask(x)))
-                u = mask_of(f[y] for y in bits(p.upo_mask(x)))
-                pt = eps.image(src_pos[EVElement(f[x], d, u)])
-                eta.append(pt.anchor)
-            eta_t = tuple(eta)
-            etas.add(eta_t)
+            eta = tuple(eps.image(src_pos[pt]).anchor for pt in _profile(p, r, f))
+            etas.add(eta)
             # profile of eta over s, checked against the image of eps
             recovered: dict[int, set[int]] = {v: set() for v in z_idx}
             ok_here = True
-            for x in range(p.n):
-                d = mask_of(eta_t[y] for y in bits(p.downo_mask(x)))
-                u = mask_of(eta_t[y] for y in bits(p.upo_mask(x)))
-                if d & ~s.downo_mask(eta_t[x]) or u & ~s.upo_mask(eta_t[x]):
-                    raise InternalInvariantViolation("transported map is not strict")
-                pt = EVElement(eta_t[x], d, u)
+            for x, pt in enumerate(_profile(p, s, eta)):
                 anc = image_anchor.get(pt)
                 if anc is not None:
                     if anc != f[x]:

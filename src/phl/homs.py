@@ -355,11 +355,6 @@ def quotient(xi: HomMap) -> QuotientFactorization:
         blocks.append(blk)
         for y in blk:
             block_of[y] = idx
-    order = sorted(range(len(blocks)), key=lambda b: min(blocks[b]))
-    blocks = [blocks[b] for b in order]
-    for new, blk in enumerate(blocks):
-        for y in blk:
-            block_of[y] = new
 
     k = len(blocks)
     masks = [mask_of(b) for b in blocks]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._bits import bits, mask_of, popcount
+from ._bits import bits, mask_of
 from .errors import (
     DuplicateLabel,
     EmptyPoset,
@@ -115,7 +115,7 @@ class Poset:
     @cached_property
     def relation_size(self) -> int:
         """Number of pairs (i, j) with i <= j."""
-        return sum(popcount(r) for r in self._up)
+        return sum(r.bit_count() for r in self._up)
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in bits(self._up[i])]
@@ -139,7 +139,7 @@ class Poset:
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain strictly below each element."""
         h = [0] * self.n
-        for i in sorted(range(self.n), key=lambda i: popcount(self._down[i])):
+        for i in sorted(range(self.n), key=lambda i: self._down[i].bit_count()):
             below = self.downo_mask(i)
             h[i] = 1 + max((h[j] for j in bits(below)), default=-1)
         return tuple(h)
@@ -371,15 +371,21 @@ def induced(p: Poset, subset: Iterable[int]) -> Poset:
 
 # -- connectivity --------------------------------------------------------
 
-def is_convex(p: Poset, subset: Iterable[int]) -> bool:
-    """True iff every x <= z <= y with x, y in the subset keeps z inside."""
+def _convexity_witness(p: Poset, subset: Iterable[int]) -> tuple[int, int, int] | None:
+    """The first x <= z <= y with x, y in the subset and z outside, or None."""
     idx = p._subset_indices(subset)
     smask = mask_of(idx)
     for x in idx:
         for y in idx:
-            if p.leq(x, y) and (p.up_mask(x) & p.down_mask(y)) & ~smask:
-                return False
-    return True
+            gap = p.up_mask(x) & p.down_mask(y) & ~smask
+            if gap:
+                return x, next(bits(gap)), y
+    return None
+
+
+def is_convex(p: Poset, subset: Iterable[int]) -> bool:
+    """True iff every x <= z <= y with x, y in the subset keeps z inside."""
+    return _convexity_witness(p, subset) is None
 
 
 def gamma(p: Poset, subset: Iterable[int], x: int) -> frozenset[int]:

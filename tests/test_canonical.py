@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 from phl.canonical import (
     IsoClassTable,
+    _canonical,
+    _refined_classes,
     all_isomorphisms,
     canonical_form,
     canonicalize,
@@ -14,7 +18,7 @@ from phl.canonical import (
     is_isomorphic,
 )
 from phl.errors import BoundTooLarge, InvalidParameter
-from phl.poset import catalog, direct_sum, is_connected
+from phl.poset import Poset, catalog, direct_sum, is_connected
 from phl.randgen import random_poset
 
 from conftest import catalog_zoo, posets
@@ -68,6 +72,71 @@ def test_named_small_posets_are_distinguished():
     # the only repeat is the singleton: one-point antichain = one-point chain
     assert len(set(codes)) == len(zoo) - 1
     assert canonical_form(catalog("A", 1)) == canonical_form(catalog("C", 1))
+
+
+# (labels, up-rows) of every class, in enumeration order, and the codes
+# of the catalog zoo: any change to the canonical search shows here
+CLASSES_6_SHA256 = "bdbd62ed39193f43a0a1278fe49378244574c19ac090f4a7e0288b38f6227836"
+ZOO_CODES = [
+    "0101", "0209", "030111", "048421",
+    "0101", "020b", "030137", "048cef",
+    "030117", "04842f", "030135", "048ca9",
+    "0484e9", "0501041355", "0484ed",
+]
+
+
+def test_class_sequence_is_pinned():
+    h = hashlib.sha256()
+    for p in enumerate_posets(6):
+        h.update(repr((p.labels, [p.up_mask(i) for i in range(p.n)])).encode())
+    assert h.hexdigest() == CLASSES_6_SHA256
+    assert [canonical_form(p).hex() for p in catalog_zoo()] == ZOO_CODES
+
+
+def least_step_rows(p):
+    """Rows of the least step code over every class-respecting ordering."""
+    cls = _refined_classes(p)
+    slots = sorted(cls)
+    best = None
+    for perm in permutations(range(p.n)):
+        if any(cls[e] != c for e, c in zip(perm, slots)):
+            continue
+        code = [
+            sum(
+                (p.leq(perm[s], perm[t]) << (2 * s)) | (p.leq(perm[t], perm[s]) << (2 * s + 1))
+                for s in range(t)
+            )
+            for t in range(p.n)
+        ]
+        if best is None or code < best[0]:
+            best = (code, perm)
+    perm = best[1]
+    return [
+        sum(1 << c for c in range(p.n) if p.leq(perm[r], perm[c])) for r in range(p.n)
+    ]
+
+
+@given(posets(max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_canonical_rows_are_the_least_class_respecting_code(p):
+    assert _canonical(p)[1] == least_step_rows(p)
+
+
+def crown(k, prefix):
+    """k minimal elements, each below its own and the next maximal one."""
+    labels = tuple(f"{prefix}b{i}" for i in range(k)) + tuple(f"{prefix}t{i}" for i in range(k))
+    rows = [1 << i | 1 << (k + i) | 1 << (k + (i + 1) % k) for i in range(k)]
+    rows += [1 << (k + i) for i in range(k)]
+    return Poset(labels, rows)
+
+
+def test_canonical_form_is_invariant_beyond_refinement():
+    # every minimal element of the 4-crown plus the 6-crown gets one
+    # refinement class, yet the two crowns are different orbits
+    p = direct_sum(crown(2, "a"), crown(3, "c"))
+    assert len(set(_refined_classes(p))) == 2
+    codes = {canonical_form(shuffled_copy(p, seed)) for seed in range(12)}
+    assert codes == {canonical_form(p)}
 
 
 def test_enumeration_counts_match_known_values():

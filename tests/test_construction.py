@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phl._bits import bits
 from phl.canonical import is_isomorphic
 from phl.construction import (
     ConstructionSpec,
@@ -149,21 +150,38 @@ def test_antichain_extension_on_chain_graft():
     assert len(set(ev_map.mapping)) == len(ev_map.mapping)
 
 
+def antichain_specs():
+    yield chain_graft_spec()
+    rng = random.Random(20261018)
+    found = 0
+    while found < 12:
+        spec = random_construction_spec(rng, max_p=4, max_q=3)
+        if spec.a and spec.p.is_antichain(spec.a):
+            found += 1
+            yield spec
+
+
 def test_antichain_extension_fixes_q_and_bare_a_points():
-    spec = chain_graft_spec()
-    ev_map, _ = antichain_ev_extension(spec)
-    summed = direct_sum(spec.p, spec.q)
-    extended = build_graft(spec).extended
-    source = build_ev(summed)
-    target = build_ev(extended)
-    for pos, e in enumerate(source.elements):
-        img = target.elements[ev_map.mapping[pos]]
-        if e.anchor >= spec.p.n:
-            # points anchored in Q keep their rendering verbatim
-            assert img.render(extended) == e.render(summed)
-        if e.anchor in spec.a and e.down == 0 and e.up == 0:
-            assert extended.labels[img.anchor] == summed.labels[e.anchor]
-            assert img.down == 0 and img.up == 0
+    for spec in antichain_specs():
+        ev_map, _ = antichain_ev_extension(spec)
+        summed = direct_sum(spec.p, spec.q)
+        result = build_graft(spec)
+        extended, psi = result.extended, result.psi.map
+        source = build_ev(summed)
+        target = build_ev(extended)
+        for pos, e in enumerate(source.elements):
+            img = target.elements[ev_map.mapping[pos]]
+            if e.anchor >= spec.p.n:
+                # points anchored in Q keep their rendering verbatim
+                assert img.render(extended) == e.render(summed)
+            elif e.anchor in spec.a and e.down == 0 and e.up == 0:
+                assert extended.labels[img.anchor] == summed.labels[e.anchor]
+                assert img.down == 0 and img.up == 0
+            else:
+                # every other point of P moves along psi
+                assert img.anchor == psi[e.anchor]
+                assert set(bits(img.down)) == {psi[i] for i in bits(e.down)}
+                assert set(bits(img.up)) == {psi[i] for i in bits(e.up)}
 
 
 def test_antichain_extension_needs_a_nonempty_gluing_set():
