@@ -48,7 +48,7 @@ _EXPORTS = {
     ),
     "homs": (
         "HomMap", "brute_force_count", "count_maps", "enumerate_maps",
-        "gamma_class_count", "pointwise_leq", "quotient",
+        "gamma_class_count", "map_tuples", "pointwise_leq", "quotient",
     ),
     "lovasz": (
         "count_strict_onto_orbits", "embeddable_connected", "factor_matrices",

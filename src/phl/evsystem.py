@@ -39,7 +39,7 @@ from .errors import (
     SizeOverflow,
     UnknownElement,
 )
-from .homs import HomMap, _solutions
+from .homs import HomMap, map_tuples
 from .poset import Poset
 
 
@@ -307,7 +307,7 @@ def check_ev_scheme(
         posets_checked += 1
         etas = set()
         count = 0
-        for f in _solutions("strict", p, r):
+        for f in map_tuples("strict", p, r):
             count += 1
             maps_checked += 1
             # profile of xi over r, pushed through eps

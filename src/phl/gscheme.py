@@ -44,7 +44,7 @@ from .errors import (
     NotADistributor,
     NotStrictOnto,
 )
-from .homs import HomMap, _solutions, count_maps
+from .homs import HomMap, count_maps, map_tuples
 from .lovasz import display_name, embeddable_connected
 from .poset import Poset, require_nonempty
 
@@ -102,12 +102,8 @@ def check_distributing(tau: HomMap) -> str:
 def suggest_distributing(q: Poset, qprime: Poset) -> list[HomMap]:
     """Experimental scan: strict surjections q -> qprime that prove
     distributing.  Absence from the list does not refute a candidate."""
-    out = []
-    for sol in _solutions("strict_onto", q, qprime):
-        m = HomMap(q, qprime, sol)
-        if check_distributing(m) == "proved":
-            out.append(m)
-    return out
+    maps = (HomMap(q, qprime, sol) for sol in sorted(map_tuples("strict_onto", q, qprime)))
+    return [m for m in maps if check_distributing(m) == "proved"]
 
 
 @dataclass(frozen=True)
@@ -161,33 +157,25 @@ def check_distributor(spec: DistributorSpec, n_max: int | None = None) -> Distri
                 index=k,
             )
     checked = 0
-    if len(sources) >= 2:
-        min_size = min(tau.dom.n for tau in sources)
-        for p in enumerate_connected(n_max):
-            checked += 1
-            if p.n < min_size:
-                continue
-            seen: dict[tuple[int, ...], int] = {}
-            for k, tau in enumerate(sources):
-                if p.n < tau.dom.n:
-                    continue
-                f = tau.map
-                for sol in _solutions("strict_onto", p, tau.dom):
-                    composite = tuple(f[v] for v in sol)
-                    other = seen.get(composite)
-                    if other is not None and other != k:
-                        witness_map = HomMap(p, spec.target, composite)
-                        raise NotADistributor(
-                            "overlap",
-                            f"sources {other} and {k} both reach "
-                            f"{witness_map.label_map()} on a connected poset "
-                            f"of size {p.n}",
-                            index=(other, k),
-                            witness=(p, other, k, witness_map),
-                        )
-                    seen[composite] = k
-    else:
-        checked = sum(1 for _ in enumerate_connected(n_max))
+    for p in enumerate_connected(n_max):
+        checked += 1
+        if len(sources) < 2:
+            continue
+        seen: dict[tuple[int, ...], int] = {}
+        for k, tau in enumerate(sources):
+            f = tau.map
+            for sol in map_tuples("strict_onto", p, tau.dom):
+                composite = tuple(f[v] for v in sol)
+                other = seen.setdefault(composite, k)
+                if other != k:
+                    witness_map = HomMap(p, spec.target, composite)
+                    raise NotADistributor(
+                        "overlap",
+                        f"sources {other} and {k} both reach {witness_map.label_map()} "
+                        f"on a connected poset of size {p.n}",
+                        index=(other, k),
+                        witness=(p, other, k, witness_map),
+                    )
     return DistributorReport(n_max, checked, len(sources))
 
 

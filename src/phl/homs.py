@@ -8,23 +8,27 @@ Map classes ("kinds") are hom, strict, strict_onto, emb and aut:
   emb          f(x) <= f(y) iff x <= y (implies injective and strict)
   aut          embedding of a poset onto itself
 
-One search core serves every kind.  It assigns domain indices in a
-given order, keeping for the next index a bitmask of candidate values:
-the AND of the codomain up- or down-rows (strict except for hom) of
-the images of its earlier comparable indices, minus, for emb and aut,
-the comparability rows of the images of its earlier incomparable ones.
-Surjective kinds also prune values that leave too few indices to cover
-the missing ones.  The core stops one level early and yields each
-partial assignment with the candidate mask of the last index.
+Three entry points share one search core: enumerate_maps streams
+HomMap objects in lexicographic order, map_tuples streams bare value
+tuples in no promised order (the fast way to visit every map), and
+count_maps counts without visiting the maps one by one.
 
-Enumeration runs it in index order and expands each last mask in
-ascending bit order, so maps stream out in lexicographic order.
-Counting adds up the masks' bit counts instead.  It walks each zigzag
-component of the domain breadth-first, so every index after the first
-has an assigned comparable neighbour and the search stays inside one
-component of the codomain; hom and strict counts are products over the
-domain's components.  brute_force_count filters the full value-tuple
-space through the defining predicates and serves as the oracle.
+The core assigns domain indices in a given order, keeping for the next
+index a bitmask of candidate values: the AND of the codomain up- or
+down-rows (strict except for hom) of the images of its earlier
+comparable indices, minus, for emb and aut, the comparability rows of
+the images of its earlier incomparable ones.  Surjective kinds also
+prune values that leave too few indices to cover the missing ones.
+The core stops one level early and yields each partial assignment with
+the candidate mask of the last index.
+
+enumerate_maps runs it in index order.  map_tuples and count_maps walk
+each zigzag component of the domain breadth-first, so every index
+after the first has an assigned comparable neighbour and the search
+stays inside one component of the codomain.  count_maps adds up the
+last masks' bit counts, multiplied over the domain's components for
+hom and strict.  brute_force_count filters the full value-tuple space
+through the defining predicates and serves as the oracle.
 
 Fibers, zigzag blocks and the quotient factorization: for a map f and
 element x, gamma_block gives the zigzag component of x inside its fiber
@@ -36,7 +40,8 @@ quotient map followed by a strict inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from math import prod
+from typing import Iterator, Sequence
 
 from . import config
 from ._bits import bits, mask_of
@@ -48,7 +53,7 @@ from .errors import (
     NotAPartialOrder,
     OracleTooLarge,
 )
-from .poset import Poset, _component_orders, _transitive_hull, gamma, require_nonempty
+from .poset import Poset, _transitive_hull, gamma, require_nonempty
 
 KINDS = ("hom", "strict", "strict_onto", "emb", "aut")
 
@@ -174,7 +179,7 @@ def _check_args(kind: str, p: Poset, q: Poset) -> None:
 
 
 def _search(kind: str, p: Poset, q: Poset,
-            order: list[int]) -> Iterator[tuple[list[int], int]]:
+            order: Sequence[int]) -> Iterator[tuple[list[int], int]]:
     """Depth-first search over the indices of order, stopping one level early.
 
     Yields (assign, mask) for every feasible assignment of order[:-1],
@@ -245,33 +250,37 @@ def _search(kind: str, p: Poset, q: Poset,
             yield assign, cand
 
 
-def _solutions(kind: str, p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
-    """Value tuples of every map of the kind, in lexicographic order."""
-    last = p.n - 1
-    for assign, mask in _search(kind, p, q, list(range(p.n))):
-        prefix = tuple(assign[:last])
+def _solutions(kind: str, p: Poset, q: Poset,
+               order: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Value tuples of every map of the kind, lexicographic in order[0], order[1], ..."""
+    last = order[-1]
+    for assign, mask in _search(kind, p, q, order):
         for v in bits(mask):
-            yield prefix + (v,)
+            assign[last] = v
+            yield tuple(assign)
 
 
 def enumerate_maps(kind: str, p: Poset, q: Poset) -> Iterator[HomMap]:
     """Stream the maps of the given class in lexicographic order."""
     _check_args(kind, p, q)
-    for sol in _solutions(kind, p, q):
+    for sol in _solutions(kind, p, q, range(p.n)):
         yield HomMap(p, q, sol)
+
+
+def map_tuples(kind: str, p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
+    """Stream the value tuples of the maps of the given class, in no promised order."""
+    _check_args(kind, p, q)
+    yield from _solutions(kind, p, q, sum(p.component_orders, ()))
 
 
 def count_maps(kind: str, p: Poset, q: Poset) -> int:
     """Number of maps of the given class, without materializing them."""
     _check_args(kind, p, q)
-    orders = _component_orders(p)
+    orders = p.component_orders
     if kind in ("hom", "strict"):
-        total = 1
-        for order in orders:
-            total *= sum(mask.bit_count() for _, mask in _search(kind, p, q, order))
-        return total
-    joined = [i for order in orders for i in order]
-    return sum(mask.bit_count() for _, mask in _search(kind, p, q, joined))
+        return prod(sum(mask.bit_count() for _, mask in _search(kind, p, q, order))
+                    for order in orders)
+    return sum(mask.bit_count() for _, mask in _search(kind, p, q, sum(orders, ())))
 
 
 def brute_force_count(kind: str, p: Poset, q: Poset, ceiling: int | None = None) -> int:

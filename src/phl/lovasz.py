@@ -15,6 +15,7 @@ column by column; verify_factorization checks a single (P, T) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._bits import bits
 from .canonical import IsoClassTable, canonical_form
@@ -36,6 +37,11 @@ def embeddable_connected(*targets: Poset) -> IsoClassTable:
     isomorphism, as canonical representatives.
     """
     require_nonempty(*targets)
+    return _embeddable_table(targets)
+
+
+@lru_cache(maxsize=16)
+def _embeddable_table(targets: tuple[Poset, ...]) -> IsoClassTable:
     return IsoClassTable(
         induced(t, members)
         for t in targets

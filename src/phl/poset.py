@@ -144,6 +144,23 @@ class Poset:
             h[i] = 1 + max((h[j] for j in bits(below)), default=-1)
         return tuple(h)
 
+    @cached_property
+    def component_orders(self) -> tuple[tuple[int, ...], ...]:
+        """Breadth-first orders of the zigzag components, by least element."""
+        orders = []
+        left = self.full_mask
+        while left:
+            start = (left & -left).bit_length() - 1
+            order = [start]
+            seen = 1 << start
+            for x in order:
+                new = (self._up[x] | self._down[x]) & ~seen
+                seen |= new
+                order.extend(bits(new))
+            left &= ~seen
+            orders.append(tuple(order))
+        return tuple(orders)
+
     def is_antichain(self, subset: Iterable[int]) -> bool:
         idx = self._subset_indices(subset)
         return all(not self.leq(x, y) for x in idx for y in idx if x != y)
@@ -415,34 +432,14 @@ class Partition:
         return len(self.blocks)
 
 
-def _component_orders(p: Poset) -> list[list[int]]:
-    """Breadth-first orders of the zigzag components, by least element."""
-    orders = []
-    left = p.full_mask
-    while left:
-        start = (left & -left).bit_length() - 1
-        order = [start]
-        seen = 1 << start
-        for x in order:
-            new = (p._up[x] | p._down[x]) & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                order.append(low.bit_length() - 1)
-                new ^= low
-        left &= ~seen
-        orders.append(order)
-    return orders
-
-
 def components(p: Poset) -> Partition:
     """Zigzag components of the whole carrier, ordered by least element."""
-    return Partition(tuple(frozenset(order) for order in _component_orders(p)))
+    return Partition(tuple(frozenset(order) for order in p.component_orders))
 
 
 def is_connected(p: Poset) -> bool:
     """True iff nonempty and a single zigzag component."""
-    return p.n > 0 and len(_component_orders(p)) == 1
+    return p.n > 0 and len(p.component_orders) == 1
 
 
 def require_nonempty(*posets: Poset) -> None:

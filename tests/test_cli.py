@@ -94,6 +94,23 @@ def test_matrix_csv(capsys):
     assert "C3,0,1" in sections[1]
 
 
+def test_matrix_builds_the_class_table_once(capsys, monkeypatch):
+    from phl import lovasz
+
+    table, builds = lovasz.IsoClassTable, []
+
+    def counting_table(posets):
+        builds.append(1)
+        return table(posets)
+
+    monkeypatch.setattr(lovasz, "IsoClassTable", counting_table)
+    lovasz._embeddable_table.cache_clear()
+    code, _, _ = run(capsys, "matrix", "--targets", "catalog:N", "catalog:A1+C3")
+    lovasz._embeddable_table.cache_clear()
+    assert code == 0
+    assert len(builds) == 1
+
+
 def test_matrix_pretty_blanks_zeros(capsys):
     code, out, _ = run(capsys, "matrix", "--targets", "catalog:C2")
     assert code == 0
@@ -227,6 +244,18 @@ def test_suggest(capsys):
     maps = [json.loads(line) for line in out.strip().split("\n")]
     assert maps == [{"a": "1", "b": "0", "c": "2", "d": "1"}]
     assert "# 1 proved distributing" in err
+
+
+def test_suggest_prints_maps_in_value_order(capsys):
+    code, out, err = run(capsys, "suggest", "--q", "catalog:W", "--qprime", "catalog:N2")
+    assert code == 0
+    w, crown = catalog("W"), catalog("N2")
+    expected = [
+        {a: crown.labels[v] for a, v in zip(w.labels, values)}
+        for values in [(0, 1, 2, 3, 2), (0, 1, 3, 2, 3), (1, 0, 2, 3, 2), (1, 0, 3, 2, 3)]
+    ]
+    assert out.splitlines() == [json.dumps(m, separators=(",", ":")) for m in expected]
+    assert "# 4 proved distributing" in err
 
 
 def test_selftest_all_ok(capsys):

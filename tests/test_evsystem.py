@@ -194,6 +194,22 @@ def test_scheme_embedding_pushforward_passes(c2, c3):
     assert report.ok
 
 
+def test_scheme_reports_fiber_and_injectivity_failures(c2, c3):
+    # the point (1;{};{}) of C2 goes to (0;{};{2}) of C3, so both strict
+    # maps from the one-element poset are transported to anchor 0
+    eps = EVMap(build_ev(c2), build_ev(c3), (0, 1, 2, 6))
+    assert is_strict_ev_hom(eps)
+    report = check_ev_scheme(eps, c2, c3, ["0", "1"], 3)
+    assert not report.ok
+    assert (report.posets_checked, report.maps_checked) == (5, 5)
+    point = from_pairs(["x0"], [])
+    assert {(v.condition, v.poset, v.detail) for v in report.violations} == {
+        ("fiber-membership", point,
+         "profile point of eta at x0 comes from anchor 0 instead of 1"),
+        ("injectivity", point, "2 strict maps transported to 1 images"),
+    }
+
+
 def test_scheme_anchor_collision_rejected():
     a2 = catalog("A", 2)
     system = build_ev(a2)

@@ -1,7 +1,9 @@
 import dataclasses
+import random
 
 import pytest
 
+from phl.canonical import enumerate_connected, is_isomorphic
 from phl.errors import (
     InvalidParameter,
     MalformedCertificate,
@@ -81,6 +83,15 @@ def test_suggest_scan_recovers_crown_family(n_poset, w_poset, crown):
     assert family[2].map in suggested_w
 
 
+def test_suggest_lists_maps_in_value_order():
+    # the canonical copy of W is one domain whose unordered map search
+    # finds its proved maps out of value order
+    for q in enumerate_connected(5):
+        for qp in enumerate_connected(4):
+            maps = [m.map for m in suggest_distributing(q, qp)]
+            assert maps == sorted(maps)
+
+
 def test_distributor_spec_validation(n_poset, c3, c2):
     tau = HomMap.from_labels(n_poset, c3, {"a": "1", "b": "0", "c": "2", "d": "1"})
     DistributorSpec((tau,), c3)
@@ -128,6 +139,73 @@ def test_distributor_rejects_overlap(n_poset, c3):
         check_distributor(DistributorSpec((tau, tau), c3), 4)
     assert exc.value.reason == "overlap"
     assert exc.value.witness is not None
+
+
+def reference_overlap(spec, n_max):
+    """(poset, later source) of the first overlap of composition sets,
+    found through the ordered enumeration; None when all are disjoint."""
+    for p in enumerate_connected(n_max):
+        reached = set()
+        for k, tau in enumerate(spec.sources):
+            mine = {tau.after(s).map for s in enumerate_maps("strict_onto", p, tau.dom)}
+            if mine & reached:
+                return p, k
+            reached |= mine
+    return None
+
+
+def distributor_overlap(spec, n_max):
+    try:
+        check_distributor(spec, n_max)
+    except NotADistributor as exc:
+        assert exc.reason == "overlap"
+        p, other, k, witness = exc.witness
+        assert other < k and exc.index == (other, k)
+        assert witness.cod == spec.target and witness.is_strict and witness.is_onto
+        for j in (other, k):
+            tau = spec.sources[j]
+            assert any(
+                tau.after(s) == witness for s in enumerate_maps("strict_onto", p, tau.dom)
+            )
+        return p, k
+    return None
+
+
+def random_families(seed, count):
+    """Seeded families of provably distributing maps, two or three per
+    family, into connected targets of size 2 to 4."""
+    rng = random.Random(seed)
+    pools = []
+    for qp in enumerate_connected(4):
+        pool = [
+            tau
+            for q in enumerate_connected(5)
+            if not is_isomorphic(q, qp)
+            for tau in suggest_distributing(q, qp)
+        ]
+        if len(pool) >= 2:
+            pools.append((qp, pool))
+    for _ in range(count):
+        qp, pool = rng.choice(pools)
+        yield DistributorSpec(tuple(rng.choices(pool, k=rng.choice((2, 3)))), qp)
+
+
+def test_distributor_matches_reference_on_bundled_families():
+    for cert in (zigzag_to_chain_certificate(), fence_to_crown_certificate()):
+        for spec in cert.distributors:
+            assert distributor_overlap(spec, 6) is None
+            assert reference_overlap(spec, 6) is None
+
+
+def test_distributor_matches_reference_on_random_families():
+    rng = random.Random(5)
+    verdicts = set()
+    for spec in random_families(17, 60):
+        n_max = rng.randint(3, 6)
+        found = distributor_overlap(spec, n_max)
+        assert found == reference_overlap(spec, n_max)
+        verdicts.add(found is None)
+    assert verdicts == {True, False}
 
 
 def test_zigzag_chain_certificate_verifies():

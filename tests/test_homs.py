@@ -19,6 +19,7 @@ from phl.homs import (
     enumerate_maps,
     gamma_block,
     gamma_class_count,
+    map_tuples,
     pointwise_leq,
     quotient,
     tuple_is_embedding,
@@ -26,6 +27,7 @@ from phl.homs import (
     tuple_is_onto,
     tuple_is_strict,
 )
+from phl.canonical import enumerate_posets
 from phl.poset import catalog, direct_sum, from_pairs
 from phl.randgen import random_poset
 
@@ -134,6 +136,39 @@ def test_enumeration_is_the_filtered_product(p, q, kind):
         if satisfies(kind, p, q, f)
     ]
     assert [m.map for m in enumerate_maps(kind, p, q)] == expected
+
+
+def assert_map_tuples_match(kind, p, q):
+    tuples = list(map_tuples(kind, p, q))
+    assert sorted(tuples) == [m.map for m in enumerate_maps(kind, p, q)]
+    assert len(set(tuples)) == len(tuples) == count_maps(kind, p, q)
+
+
+def test_map_tuples_match_enumeration_on_all_small_classes():
+    classes = list(enumerate_posets(4))
+    assert any(len(p.component_orders) > 1 for p in classes)
+    for p in classes:
+        assert_map_tuples_match("aut", p, p)
+        for q in classes:
+            for kind in KINDS[:-1]:
+                assert_map_tuples_match(kind, p, q)
+
+
+def test_map_tuples_match_enumeration_on_random_pairs():
+    rng = random.Random(29)
+    for _ in range(150):
+        p = random_poset(rng, rng.randint(1, 6), rng.choice([0.1, 0.3, 0.6]))
+        q = random_poset(rng, rng.randint(1, 6), rng.choice([0.1, 0.3, 0.6]))
+        for kind in KINDS[:-1]:
+            assert_map_tuples_match(kind, p, q)
+        assert_map_tuples_match("aut", p, p)
+
+
+def test_map_tuples_checks_its_arguments(c2):
+    with pytest.raises(InvalidParameter):
+        list(map_tuples("epi", c2, c2))
+    with pytest.raises(DomainMismatch):
+        list(map_tuples("aut", c2, catalog("C", 3)))
 
 
 def test_count_multiplies_over_domain_components():

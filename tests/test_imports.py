@@ -1,7 +1,9 @@
 """The lazily loaded package surface and the CLI's per-command imports."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,19 @@ def test_star_import_binds_every_export():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         phl.no_such_name
+
+
+def test_only_homs_uses_its_private_names():
+    src = Path(phl.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "homs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, "homs"), (0, "phl.homs"),
+            ):
+                offenders += [
+                    f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")
+                ]
+    assert offenders == []

@@ -37,6 +37,6 @@ def test_readme_tour_runs_and_shows_true_results():
     namespace: dict = {}
     exec(compile(block, str(README), "exec"), namespace)
     shown = list(_shown_results(block))
-    assert len(shown) == 3
+    assert len(shown) == 4
     for expr, value in shown:
         assert eval(expr, namespace) == value, expr
