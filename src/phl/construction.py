@@ -11,6 +11,13 @@ W = P minus A and Y is the carrier of Q.  Its order glues four parts:
     up pairs    w <= y  whenever some a in A has w <=_P a and
                 beta(a) <=_Q y.
 
+build_graft assembles T's relation rows directly: the rows of P
+restricted to W, the rows of Q shifted past W, and for each gluing
+pair (a, beta(a)) the W part of the up-set of a ORed into every row
+of the down-set of beta(a), and the up-set of beta(a) into every W row
+of the down-set of a.  The four families are read back from T's rows
+by the side of each end.
+
 The result is always a partial order; the carriers of P and Q must be
 disjoint (construct specs through from_labels to namespace them).  The
 map psi sending A to B via beta and fixing W embeds P into P|A + T, and
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import config
-from ._bits import bits
+from ._bits import bits, mask_of
 from .canonical import is_isomorphic
 from .errors import (
     CarriersNotDisjoint,
@@ -148,28 +155,18 @@ def build_graft(spec: ConstructionSpec) -> GraftResult:
     n = nw + q.n
     wpos = {orig: k for k, orig in enumerate(w_idx)}
 
-    within_w = []
-    within_y = []
-    down_pairs = []
-    up_pairs = []
-    rows = [0] * n
-    for k, i in enumerate(w_idx):
-        for k2, i2 in enumerate(w_idx):
-            if p.leq(i, i2):
-                rows[k] |= 1 << k2
-                within_w.append((labels[k], labels[k2]))
-    for j in range(q.n):
-        for j2 in bits(q.up_mask(j)):
-            rows[nw + j] |= 1 << (nw + j2)
-            within_y.append((labels[nw + j], labels[nw + j2]))
-    for j in range(q.n):
-        for k, w in enumerate(w_idx):
-            if any(p.leq(a2, w) and q.leq(j, beta[a2]) for a2 in spec.a):
-                rows[nw + j] |= 1 << k
-                down_pairs.append((labels[nw + j], labels[k]))
-            if any(p.leq(w, a2) and q.leq(beta[a2], j) for a2 in spec.a):
-                rows[k] |= 1 << (nw + j)
-                up_pairs.append((labels[k], labels[nw + j]))
+    def on_w(mask: int) -> int:
+        """The W part of a mask over P, as a mask over T."""
+        return mask_of(wpos[i] for i in bits(mask) if i in wpos)
+
+    rows = [on_w(p.up_mask(i)) for i in w_idx] + [q.up_mask(j) << nw for j in range(q.n)]
+    for a, b in beta.items():
+        above_a = on_w(p.up_mask(a))
+        for j in bits(q.down_mask(b)):
+            rows[nw + j] |= above_a
+        above_b = q.up_mask(b) << nw
+        for k in bits(on_w(p.down_mask(a))):
+            rows[k] |= above_b
 
     try:
         t = Poset(labels, rows)
@@ -178,31 +175,23 @@ def build_graft(spec: ConstructionSpec) -> GraftResult:
             f"graft relation failed to be a partial order: {exc}"
         ) from exc
 
+    # each pair falls in the family named by the sides of its two ends
+    w_mask = (1 << nw) - 1
+    ws, ys = range(nw), range(nw, n)
     parts = RelationParts(
-        tuple(within_w), tuple(within_y), tuple(down_pairs), tuple(up_pairs)
+        tuple((labels[k], labels[i]) for k in ws for i in bits(t.up_mask(k) & w_mask)),
+        tuple((labels[j], labels[i]) for j in ys for i in bits(t.up_mask(j) & ~w_mask)),
+        tuple((labels[j], labels[k]) for j in ys for k in bits(t.up_mask(j) & w_mask)),
+        tuple((labels[k], labels[j]) for j in ys for k in bits(t.down_mask(j) & w_mask)),
     )
-    seen_pairs = set(parts.within_w)
-    for fam in (parts.within_y, parts.down, parts.up):
-        for pair in fam:
-            if pair in seen_pairs:
-                raise InternalInvariantViolation("relation parts overlap")
-            seen_pairs.add(pair)
 
     a_prime = induced(p, spec.a)
     extended = direct_sum(a_prime, t)
     if extended.labels != a_prime.labels + t.labels:
         raise InternalInvariantViolation("graft carriers were not disjoint")
-    a_sorted = sorted(spec.a)
-    apos = {orig: k for k, orig in enumerate(a_sorted)}
-    na = len(a_sorted)
-    tpos_of_q = {j: na + nw + j for j in range(q.n)}
-    psi_map = []
-    for i in range(p.n):
-        if i in spec.a:
-            psi_map.append(tpos_of_q[beta[i]])
-        else:
-            psi_map.append(na + wpos[i])
-    psi = HomMap(p, extended, tuple(psi_map))
+    na = len(spec.a)
+    psi_map = tuple(na + nw + beta[i] if i in beta else na + wpos[i] for i in range(p.n))
+    psi = HomMap(p, extended, psi_map)
     if not psi.is_embedding:
         raise InternalInvariantViolation("psi is not an embedding")
 

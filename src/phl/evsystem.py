@@ -9,7 +9,10 @@ strict up-set.  Points compare by
 which is irreflexive and antisymmetric but not transitive in general,
 so the system is a relation structure, not a poset.  Fibers over a
 common anchor are antichains, the anchor projection is strict, and
-x -> (x, full down-set, full up-set) embeds P into its system.
+x -> (x, full down-set, full up-set) embeds P into its system.  The
+<+ rows are built per anchor, not per pair of points: the row of a is
+the union, over y in up(a), of the points anchored at y whose
+down-set contains anchor(a).
 
 A strict map xi: P -> Q induces the profile x -> (xi(x), xi(down), xi(up))
 valued in the system of Q; profiles of strict maps are strict for <+.
@@ -23,7 +26,6 @@ comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from . import config
@@ -74,14 +76,21 @@ class EVSystem:
         self.base = base
         self.elements = elements
         self._pos = {e: i for i, e in enumerate(elements)}
-        rows = []
+        # over[x][y] holds the points anchored at y whose down-set contains x
+        over = [[0] * base.n for _ in range(base.n)]
+        for j, b in enumerate(elements):
+            for x in bits(b.down):
+                over[x][b.anchor] |= 1 << j
+        # the row of a depends only on (anchor, up), so points sharing both
+        # share one row object
+        row_of: dict[tuple[int, int], int] = {}
         for a in elements:
-            row = 0
-            for j, b in enumerate(elements):
-                if (b.down >> a.anchor) & 1 and (a.up >> b.anchor) & 1:
-                    row |= 1 << j
-            rows.append(row)
-        self._lt_rows = tuple(rows)
+            if (a.anchor, a.up) not in row_of:
+                row = 0
+                for y in bits(a.up):
+                    row |= over[a.anchor][y]
+                row_of[a.anchor, a.up] = row
+        self._lt_rows = tuple(row_of[a.anchor, a.up] for a in elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -116,24 +125,22 @@ def ev_size(p: Poset) -> int:
     )
 
 
-@lru_cache(maxsize=64)
-def _build_ev_cached(p: Poset, ceiling: int) -> EVSystem:
-    total = ev_size(p)
-    if total > ceiling:
-        raise SizeOverflow(total, ceiling)
-    elements = []
-    for x in range(p.n):
-        for d in submasks(p.downo_mask(x)):
-            for u in submasks(p.upo_mask(x)):
-                elements.append(EVElement(x, d, u))
-    return EVSystem(p, tuple(elements))
-
-
 def build_ev(p: Poset, ceiling: int | None = None) -> EVSystem:
     """The vicinity system of p, points ordered by (anchor, down, up)."""
     if p.n == 0:
         raise EmptyPoset("vicinity system of the empty poset")
-    return _build_ev_cached(p, ceiling if ceiling is not None else config.DEFAULT_EV_CEILING)
+    if ceiling is None:
+        ceiling = config.DEFAULT_EV_CEILING
+    total = ev_size(p)
+    if total > ceiling:
+        raise SizeOverflow(total, ceiling)
+    elements = tuple(
+        EVElement(x, d, u)
+        for x in range(p.n)
+        for d in submasks(p.downo_mask(x))
+        for u in submasks(p.upo_mask(x))
+    )
+    return EVSystem(p, elements)
 
 
 def ev_at(system: EVSystem, x) -> tuple[EVElement, ...]:
@@ -307,7 +314,9 @@ def check_ev_scheme(
         posets_checked += 1
         etas = set()
         count = 0
-        for f in map_tuples("strict", p, r):
+        # lexicographic order, so the violations kept below do not depend
+        # on the search order of map_tuples
+        for f in sorted(map_tuples("strict", p, r)):
             count += 1
             maps_checked += 1
             # profile of xi over r, pushed through eps

@@ -365,15 +365,7 @@ def quotient(xi: HomMap) -> QuotientFactorization:
         for y in blk:
             block_of[y] = idx
 
-    k = len(blocks)
-    masks = [mask_of(b) for b in blocks]
-    rows = []
-    for a in range(k):
-        row = 0
-        for b in range(k):
-            if any(p.up_mask(x) & masks[b] for x in blocks[a]):
-                row |= 1 << b
-        rows.append(row)
+    rows = [mask_of(block_of[y] for x in blk for y in bits(p.up_mask(x))) for blk in blocks]
     _transitive_hull(rows)
     labels = tuple(
         "{" + ",".join(p.labels[i] for i in sorted(blk)) + "}" for blk in blocks

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._bits import bits
+from ._bits import bits, mask_of, submasks
 from .canonical import IsoClassTable, canonical_form
 from .errors import (
     InternalInvariantViolation,
@@ -42,10 +42,12 @@ def embeddable_connected(*targets: Poset) -> IsoClassTable:
 
 @lru_cache(maxsize=16)
 def _embeddable_table(targets: tuple[Poset, ...]) -> IsoClassTable:
+    # a connected subset lies inside one component of its target
     return IsoClassTable(
         induced(t, members)
         for t in targets
-        for members in (tuple(bits(m)) for m in range(1, 1 << t.n))
+        for component in t.component_orders
+        for members in (tuple(bits(m)) for m in submasks(mask_of(component)) if m)
         if gamma(t, members, members[0]) == frozenset(members)
     )
 

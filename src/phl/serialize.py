@@ -120,7 +120,8 @@ def _load_json(path: str, error: type[PhlError]):
             return json.load(fh)
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and non-UTF-8 bytes
         raise error(f"bad JSON in {path}: {exc}") from exc
 
 
@@ -257,8 +258,11 @@ def certificate_from_doc(doc) -> TransportCertificate:
             target = qprime[j]
         else:
             raise MalformedCertificate(f"distributor {j} has no target")
+        source_docs = dd.get("sources", [])
+        if not isinstance(source_docs, list):
+            raise MalformedCertificate(f"sources of distributor {j} must be a list")
         sources = []
-        for sd in dd.get("sources", []):
+        for sd in source_docs:
             if not isinstance(sd, dict) or set(sd) - {"poset", "tau"} or "poset" not in sd or "tau" not in sd:
                 raise MalformedCertificate(f"bad source object in distributor {j}")
             sources.append(_tau_from_doc(sd["tau"], _cert_poset(sd["poset"]), target))

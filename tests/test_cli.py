@@ -111,6 +111,13 @@ def test_matrix_builds_the_class_table_once(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_matrix_on_a_wide_antichain(capsys):
+    # one subset per component: 25, where all subsets would be 2^25
+    code, out, _ = run(capsys, "matrix", "--targets", "catalog:A25")
+    assert code == 0
+    assert out.endswith("# strict maps\n    A25\nA1   25\n")
+
+
 def test_matrix_pretty_blanks_zeros(capsys):
     code, out, _ = run(capsys, "matrix", "--targets", "catalog:C2")
     assert code == 0
@@ -143,6 +150,26 @@ def test_verify_cert_malformed_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "verify-cert", "--cert", str(path))
     assert code == 3
     assert "MalformedCertificate" in err
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 200_000], ids=["non-utf8", "deep-nesting"]
+)
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("count", "--kind", "strict", "--p", "{}", "--q", "catalog:N"), "MalformedDocument"),
+        (("verify-cert", "--cert", "{}"), "MalformedCertificate"),
+    ],
+    ids=["poset", "certificate"],
+)
+def test_undecodable_json_files_exit_3(capsys, tmp_path, content, argv, error):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *(str(path) if a == "{}" else a for a in argv))
+    assert code == 3
+    assert out == ""
+    assert f"error: {error}: bad JSON in {path}" in err
 
 
 def test_check_gle_holds(capsys):

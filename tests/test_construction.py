@@ -106,6 +106,42 @@ def test_chain_graft_parts():
     assert len(set(everything)) == len(everything)
 
 
+def graft_by_definition(spec):
+    """T's labels and four pair families, straight from the element-wise rules."""
+    p, q, beta = spec.p, spec.q, dict(spec.beta)
+    w = [i for i in range(p.n) if i not in spec.a]
+    within_w = [(p.labels[x], p.labels[x2]) for x in w for x2 in w if p.leq(x, x2)]
+    within_y = [
+        (q.labels[j], q.labels[j2]) for j in range(q.n) for j2 in range(q.n) if q.leq(j, j2)
+    ]
+    down, up = [], []
+    for j in range(q.n):
+        for x in w:
+            if any(p.leq(a, x) and q.leq(j, beta[a]) for a in spec.a):
+                down.append((q.labels[j], p.labels[x]))
+            if any(p.leq(x, a) and q.leq(beta[a], j) for a in spec.a):
+                up.append((p.labels[x], q.labels[j]))
+    labels = tuple(p.labels[x] for x in w) + q.labels
+    return labels, (tuple(within_w), tuple(within_y), tuple(down), tuple(up))
+
+
+def test_graft_matches_its_definition():
+    rng = random.Random(20261019)
+    specs = [chain_graft_spec()] + [random_construction_spec(rng) for _ in range(300)]
+    for spec in specs:
+        result = build_graft(spec)
+        labels, families = graft_by_definition(spec)
+        parts = result.parts
+        assert (parts.within_w, parts.within_y, parts.down, parts.up) == families
+        relation = set().union(*families)
+        t = result.t
+        assert t.labels == labels
+        for i in range(t.n):
+            assert t.up_mask(i) == sum(
+                1 << j for j in range(t.n) if (labels[i], labels[j]) in relation
+            )
+
+
 def test_psi_embeds_p_over_the_gluing_map():
     result = build_graft(chain_graft_spec())
     psi = result.psi

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from phl import evsystem
 from phl._bits import mask_of
+from phl.canonical import enumerate_posets
 from phl.errors import (
     EmptyPoset,
     NotStrict,
@@ -21,6 +25,7 @@ from phl.evsystem import (
 )
 from phl.homs import HomMap, enumerate_maps
 from phl.poset import catalog, direct_sum, from_pairs
+from phl.randgen import random_poset
 
 from conftest import nonempty_posets
 
@@ -57,6 +62,27 @@ def test_points_are_ordered_and_unique(c3):
     keys = [(e.anchor, e.down, e.up) for e in system.elements]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_lt_rows_match_the_definition():
+    rng = random.Random(20261020)
+    bases = [p for n in range(1, 6) for p in enumerate_posets(n)]
+    bases += [random_poset(rng, rng.randint(1, 7), rng.choice([0.2, 0.4, 0.7])) for _ in range(40)]
+    for base in bases:
+        system = build_ev(base)
+        points = [
+            EVElement(x, d, u)
+            for x in range(base.n)
+            for d in range(1 << base.n)
+            for u in range(1 << base.n)
+            if not d & ~base.downo_mask(x) and not u & ~base.upo_mask(x)
+        ]
+        assert list(system.elements) == points
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                assert system.lt(i, j) == (
+                    (b.down >> a.anchor) & 1 == 1 and (a.up >> b.anchor) & 1 == 1
+                )
 
 
 def test_sum_decomposes_with_no_cross_relation(c2, c3):
@@ -225,3 +251,22 @@ def test_scheme_z_plus_budget(c2):
         check_ev_scheme(ident, c2, c2, [], 3)
     report = check_ev_scheme(ident, c2, c2, ["0"], 3)
     assert report.ok
+
+
+def test_scheme_violations_do_not_depend_on_map_order(monkeypatch):
+    # a perturbed embedding pushforward from a seeded search: 41 violations
+    # at bound 4, of which the report keeps 16
+    r = from_pairs(["x0", "x1", "x2"], [("x0", "x1"), ("x1", "x2")])
+    s = from_pairs(
+        ["x0", "x1", "x2", "x3"], [("x0", "x2"), ("x1", "x2"), ("x2", "x3")]
+    )
+    eps = EVMap(build_ev(r), build_ev(s), (22, 1, 2, 3, 10, 15, 10, 15, 6, 17, 20, 21))
+    assert is_strict_ev_hom(eps)
+    report = check_ev_scheme(eps, r, s, ["x0", "x1", "x2"], 4)
+    assert len(report.violations) == 16
+
+    forward = evsystem.map_tuples
+    monkeypatch.setattr(
+        evsystem, "map_tuples", lambda *args: reversed(list(forward(*args)))
+    )
+    assert check_ev_scheme(eps, r, s, ["x0", "x1", "x2"], 4) == report

@@ -218,6 +218,50 @@ def test_quotient_factorization_recomposes(n_poset, c2):
         assert qf2.quotient.relation_size == n_poset.relation_size
 
 
+def quotient_by_definition(xi):
+    """Blocks, quotient labels and rows, pi and iota from element pairs."""
+    p, f = xi.dom, xi.map
+    block_of = [None] * p.n
+    blocks = []
+    for x in range(p.n):
+        if block_of[x] is None:
+            block, grown = {x}, True
+            while grown:
+                more = {
+                    z for y in block for z in range(p.n)
+                    if f[z] == f[x] and (p.leq(y, z) or p.leq(z, y))
+                }
+                grown = not more <= block
+                block |= more
+            for y in block:
+                block_of[y] = len(blocks)
+            blocks.append(frozenset(block))
+    k = len(blocks)
+    leq = [[any(p.leq(x, y) for x in a for y in b) for b in blocks] for a in blocks]
+    for m in range(k):
+        for a in range(k):
+            for b in range(k):
+                leq[a][b] = leq[a][b] or (leq[a][m] and leq[m][b])
+    labels = tuple("{" + ",".join(p.labels[i] for i in sorted(b)) + "}" for b in blocks)
+    rows = tuple(sum(1 << b for b in range(k) if leq[a][b]) for a in range(k))
+    iota = tuple(f[min(b)] for b in blocks)
+    return tuple(blocks), labels, rows, tuple(block_of), iota
+
+
+def test_quotient_matches_its_definition():
+    classes = [p for n in range(1, 5) for p in enumerate_posets(n)]
+    for dom in classes:
+        for cod in classes:
+            for xi in enumerate_maps("hom", dom, cod):
+                qf = quotient(xi)
+                blocks, labels, rows, pi, iota = quotient_by_definition(xi)
+                assert qf.blocks == blocks
+                assert qf.quotient.labels == labels
+                assert tuple(qf.quotient.up_mask(a) for a in range(len(blocks))) == rows
+                assert (qf.pi.dom, qf.pi.cod, qf.pi.map) == (dom, qf.quotient, pi)
+                assert (qf.iota.dom, qf.iota.cod, qf.iota.map) == (qf.quotient, cod, iota)
+
+
 def brute_gamma_count(xi, t):
     part = frozenset(quotient(xi).blocks)
     return sum(

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from phl.canonical import canonical_form, canonicalize, enumerate_posets, is_isomorphic
+from phl.canonical import (
+    IsoClassTable,
+    canonical_form,
+    canonicalize,
+    enumerate_posets,
+    is_isomorphic,
+)
 from phl.errors import InvalidParameter, UniverseMismatch
 from phl.homs import count_maps
 from phl.lovasz import (
@@ -175,6 +181,19 @@ def test_embeddable_over_two_targets_is_the_union():
         for code, rep in zip(table.codes, table.posets):
             assert canonicalize(rep) == rep
             assert canonical_form(rep) == code
+
+
+def test_embeddable_table_matches_the_all_subsets_definition():
+    rng = random.Random(12)
+    cases = [(p,) for n in range(1, 6) for p in enumerate_posets(n)]
+    cases += [
+        tuple(random_poset(rng, rng.randint(1, 6)) for _ in range(rng.randint(1, 3)))
+        for _ in range(30)
+    ]
+    for targets in cases:
+        expected = IsoClassTable(sub for t in targets for sub in brute_embeddable(t).values())
+        table = embeddable_connected(*targets)
+        assert (table.codes, table.posets) == (expected.codes, expected.posets)
 
 
 def test_matrix_rendering():

@@ -49,6 +49,9 @@ def test_cycle_rejected_with_witness():
         from_pairs("ab", [("a", "b"), ("b", "a")])
     assert exc.value.axiom == "antisymmetry"
     assert set(exc.value.witness) == {"a", "b"}
+    with pytest.raises(NotAPartialOrder) as exc:
+        from_pairs("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    assert (exc.value.axiom, exc.value.witness) == ("antisymmetry", ("a", "b"))
 
 
 def test_duplicate_and_unknown_labels():

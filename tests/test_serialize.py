@@ -1,12 +1,19 @@
+import copy
 import json
 
 import pytest
 from conftest import catalog_zoo
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phl.canonical import is_isomorphic
 from phl.errors import MalformedCertificate, MalformedDocument
 from phl.evsystem import build_ev
-from phl.examples import chain_graft_spec, zigzag_to_chain_certificate
+from phl.examples import (
+    chain_graft_spec,
+    fence_to_crown_certificate,
+    zigzag_to_chain_certificate,
+)
 from phl.gscheme import verify_certificate
 from phl.poset import catalog, direct_sum
 from phl.serialize import (
@@ -193,6 +200,10 @@ def _cert_doc(**overrides):
         lambda d: d["distributors"][0]["sources"].append({"poset": {"labels": ["z"], "pairs": []}}),
         lambda d: d["distributors"][0]["sources"][0].update(tau={"a1": 7}),
         lambda d: d.update(R="catalog:Z9"),
+        lambda d: d["distributors"][0].update(sources=0),
+        lambda d: d["distributors"][0].update(sources=None),
+        lambda d: d["distributors"][0].update(sources=True),
+        lambda d: d["distributors"][0].update(sources=1.5),
     ],
 )
 def test_certificate_rejects_malformed(mutate):
@@ -291,3 +302,71 @@ def test_load_construction_spec(tmp_path):
     assert load_construction_spec(str(path)) == chain_graft_spec()
     with pytest.raises(MalformedDocument):
         load_construction_spec(str(tmp_path / "absent.json"))
+
+
+# Small values only: no catalog size beyond the bundled ones, since a
+# certificate without "q" scans every subset of R.
+_POOL = (
+    0, 1, -1, 1.5, None, True, "", "a", "a1", "0", "catalog:C2", "catalog:A1+C3",
+    "catalog:Z", "covers", [], [0], ["a"], [["a", "b"]], [["a1", "a1"]], {},
+    {"a": "b"}, {"labels": ["a"], "pairs": []},
+)
+_DELETE = object()
+_DOCS = {
+    "certificate": (
+        lambda: certificate_to_doc(zigzag_to_chain_certificate()), certificate_from_doc,
+    ),
+    "fence certificate": (
+        lambda: certificate_to_doc(fence_to_crown_certificate()), certificate_from_doc,
+    ),
+    "construction spec": (spec_doc, construction_spec_from_doc),
+    "poset": (lambda: poset_to_doc(catalog("N")), poset_from_doc),
+}
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the value at path replaced, or deleted for _DELETE."""
+    if not path:
+        return {} if value is _DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _mutated_docs(draw):
+    kind = draw(st.sampled_from(sorted(_DOCS)))
+    doc = _DOCS[kind][0]()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        doc = _mutated(doc, path, draw(st.sampled_from(_POOL + (_DELETE,))))
+    return kind, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_docs())
+def test_parsers_raise_only_typed_errors_on_mutated_documents(kind_doc):
+    kind, doc = kind_doc
+    try:
+        _DOCS[kind][1](doc)
+    except (MalformedDocument, MalformedCertificate):
+        pass
