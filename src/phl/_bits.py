@@ -1,8 +1,8 @@
-"""Small helpers for index sets stored as integer bitmasks."""
+"""Small helpers for index sets stored as integer bitmasks and relation rows."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -29,3 +29,19 @@ def submasks(mask: int) -> Iterator[int]:
             return
         sub = (sub - mask) & mask
 
+
+def down_rows(up_rows: Sequence[int]) -> list[int]:
+    """Transpose of a relation: bit i of row j set iff bit j of up_rows[i] is."""
+    down = [0] * len(up_rows)
+    for i, row in enumerate(up_rows):
+        for j in bits(row):
+            down[j] |= 1 << i
+    return down
+
+
+def heights(down: Sequence[int]) -> list[int]:
+    """Length of the longest chain strictly below each element, from down-rows."""
+    h = [0] * len(down)
+    for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
+        h[i] = 1 + max((h[j] for j in bits(down[i] & ~(1 << i))), default=-1)
+    return h

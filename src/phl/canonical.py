@@ -1,27 +1,30 @@
 """Canonical forms, isomorphism tests, enumeration up to isomorphism.
 
-The canonical form of a poset is the lexicographically least relation
-code over all carrier orderings compatible with an invariant refinement
-of the elements.  Refinement classes are isomorphism-invariant, so the
+The kernel reads relation rows only (bit j of up-row i set iff i <= j).
+The canonical form is the lexicographically least relation code over
+all carrier orderings compatible with an invariant refinement of the
+elements.  Refinement classes are isomorphism-invariant, so the
 constrained minimum is itself invariant: two posets are isomorphic iff
-their codes agree.  A brute-force bijection search doubles as an
-independent oracle for small sizes.
+their codes agree.  Refinement ids sort by strict-down-set size first,
+so every canonical representative lists its elements along a linear
+extension.
 
 Isomorphism-class enumeration grows posets one element at a time: every
 poset on n+1 elements arises from one on n elements by adding a new
 maximal element above an order ideal, so extending every class of size
-n by every ideal and deduplicating by canonical code is exhaustive.
-IsoClassTable is that deduplication, and the one place any caller
-turns posets into a table of classes.
+n by every ideal (built along index order) and deduplicating the rows
+by canonical code is exhaustive.  IsoClassTable is that deduplication,
+and the one place any caller turns relations into a table of classes.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import config
-from ._bits import bits, mask_of
+from ._bits import bits, down_rows, heights, mask_of
 from .poset import Poset, is_connected
 
 __all__ = [
@@ -35,16 +38,19 @@ __all__ = [
 ]
 
 
-def _refined_classes(p: Poset) -> list[int]:
+def _refined_classes(up: Sequence[int]) -> list[int]:
     """Isomorphism-invariant class id per element, ids sorted by invariant."""
-    n = p.n
-    key = [(p.downo_mask(i).bit_count(), p.upo_mask(i).bit_count(), p.heights[i]) for i in range(n)]
+    n = len(up)
+    down = down_rows(up)
+    below = [row & ~(1 << i) for i, row in enumerate(down)]
+    above = [row & ~(1 << i) for i, row in enumerate(up)]
+    key = list(zip((r.bit_count() for r in below), (r.bit_count() for r in above), heights(down)))
     while True:
         trip = [
             (
                 key[i],
-                tuple(sorted(key[j] for j in bits(p.downo_mask(i)))),
-                tuple(sorted(key[j] for j in bits(p.upo_mask(i)))),
+                tuple(sorted(key[j] for j in bits(below[i]))),
+                tuple(sorted(key[j] for j in bits(above[i]))),
             )
             for i in range(n)
         ]
@@ -55,16 +61,15 @@ def _refined_classes(p: Poset) -> list[int]:
         key = new_key
 
 
-def _canonical_perm(p: Poset) -> tuple[int, ...]:
+def _canonical_perm(up: Sequence[int]) -> tuple[int, ...]:
     """Ordering of the carrier realizing the minimal relation code.
 
     Position t takes an element of refinement class sorted(cls)[t]; a
     prefix is cut as soon as its last step exceeds the best code's.
     """
-    n = p.n
-    cls = _refined_classes(p)
+    n = len(up)
+    cls = _refined_classes(up)
     slot = [mask_of(i for i in range(n) if cls[i] == c) for c in sorted(cls)]
-    up = p._up
     best: list[int] = []
     best_perm: list[int] = []
     code: list[int] = []
@@ -94,19 +99,17 @@ def _canonical_perm(p: Poset) -> tuple[int, ...]:
     return tuple(best_perm)
 
 
-def _canonical(p: Poset) -> tuple[bytes, list[int]]:
-    """Canonical code and the up-rows of p reordered canonically.
+def _canonical(up: Sequence[int]) -> tuple[bytes, list[int]]:
+    """Canonical code and the up-rows reordered canonically.
 
     Bit r*n + c of the code is set iff canonical element r <= element c,
     so the code is the reordered rows laid end to end.
     """
-    perm = _canonical_perm(p)
-    n = p.n
+    perm = _canonical_perm(up)
+    n = len(up)
     inv = {orig: newpos for newpos, orig in enumerate(perm)}
-    rows = [mask_of(inv[j] for j in bits(p.up_mask(orig))) for orig in perm]
-    flat = 0
-    for r, row in enumerate(rows):
-        flat |= row << (r * n)
+    rows = [mask_of(inv[j] for j in bits(up[orig])) for orig in perm]
+    flat = sum(row << (r * n) for r, row in enumerate(rows))
     return bytes([n]) + flat.to_bytes((n * n + 7) // 8 or 1, "big"), rows
 
 
@@ -116,12 +119,12 @@ def _relabelled(rows: list[int]) -> Poset:
 
 def canonical_form(p: Poset) -> bytes:
     """Canonical relation code; equal codes characterize isomorphism."""
-    return _canonical(p)[0]
+    return _canonical(p._up)[0]
 
 
 def canonicalize(p: Poset) -> Poset:
     """Isomorphic copy relabelled x0..x(n-1) along the canonical ordering."""
-    return _relabelled(_canonical(p)[1])
+    return _relabelled(_canonical(p._up)[1])
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
@@ -145,19 +148,19 @@ def all_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
 
 
 class IsoClassTable:
-    """Isomorphism classes of the given posets, in (size, code) order.
+    """Isomorphism classes of the given relations, in (size, code) order.
 
-    Each poset is coded once and each class is kept as its canonical
-    representative.  Byte 0 of a code is the size, so code order is
-    (size, code) order.
+    Each relation, a sequence of up-rows, is coded once, and each class
+    is kept as its canonical representative.  Byte 0 of a code is the
+    size, so code order is (size, code) order.
     """
 
     __slots__ = ("codes", "posets")
 
-    def __init__(self, posets):
+    def __init__(self, relations: Iterable[Sequence[int]]):
         found: dict[bytes, list[int]] = {}
-        for p in posets:
-            code, rows = _canonical(p)
+        for up in relations:
+            code, rows = _canonical(up)
             found.setdefault(code, rows)
         self.codes = tuple(sorted(found))
         self.posets = tuple(_relabelled(found[c]) for c in self.codes)
@@ -166,39 +169,29 @@ class IsoClassTable:
         return len(self.codes)
 
 
-_CLASS_CACHE: dict[int, tuple[Poset, ...]] = {}
-_CONNECTED_CACHE: dict[int, tuple[Poset, ...]] = {}
-
-
+@cache
 def _classes_of_size(n: int) -> tuple[Poset, ...]:
     """All isomorphism classes of size n as canonical representatives."""
-    if n in _CLASS_CACHE:
-        return _CLASS_CACHE[n]
     if n == 0:
-        reps: tuple[Poset, ...] = (Poset((), ()),)
-    else:
-        reps = IsoClassTable(_extensions(n)).posets
-    _CLASS_CACHE[n] = reps
-    return reps
+        return (Poset((), ()),)
+    return IsoClassTable(_extensions(n)).posets
 
 
-def _extensions(n: int) -> Iterator[Poset]:
-    """Every class of size n - 1 with a new maximal element over each ideal."""
-    new = n - 1
-    for base in _classes_of_size(new):
-        for ideal in _ideals(base):
-            rows = [
-                base._up[i] | ((1 << new) if (ideal >> i) & 1 else 0)
-                for i in range(new)
-            ]
-            rows.append(1 << new)
-            yield _relabelled(rows)
+@cache
+def _connected_of_size(n: int) -> tuple[Poset, ...]:
+    return tuple(p for p in _classes_of_size(n) if is_connected(p))
 
 
-def _ideals(p: Poset) -> Iterator[int]:
-    for m in range(1 << p.n):
-        if all(not (p.downo_mask(i) & ~m) for i in bits(m)):
-            yield m
+def _extensions(n: int) -> Iterator[list[int]]:
+    """Rows of every class of size n - 1 with a new maximal element over each ideal."""
+    top = 1 << (n - 1)
+    for base in _classes_of_size(n - 1):
+        ideals = [0]
+        for i in range(n - 1):
+            # the strict down-set of element i lies below index i
+            ideals += [m | 1 << i for m in ideals if not base.downo_mask(i) & ~m]
+        for ideal in ideals:
+            yield [row | top if (ideal >> i) & 1 else row for i, row in enumerate(base._up)] + [top]
 
 
 def enumerate_posets(n_max: int) -> Iterator[Poset]:
@@ -212,8 +205,4 @@ def enumerate_connected(n_max: int) -> Iterator[Poset]:
     """Connected isomorphism classes with 1..n_max elements."""
     config.check_bound(n_max)
     for n in range(1, n_max + 1):
-        reps = _CONNECTED_CACHE.get(n)
-        if reps is None:
-            reps = tuple(p for p in _classes_of_size(n) if is_connected(p))
-            _CONNECTED_CACHE[n] = reps
-        yield from reps
+        yield from _connected_of_size(n)

@@ -53,7 +53,7 @@ from .errors import (
     NotAPartialOrder,
     OracleTooLarge,
 )
-from .poset import Poset, _transitive_hull, gamma, require_nonempty
+from .poset import Poset, _transitive_hull, _zigzag, gamma, require_nonempty
 
 KINDS = ("hom", "strict", "strict_onto", "emb", "aut")
 
@@ -354,16 +354,19 @@ def quotient(xi: HomMap) -> QuotientFactorization:
     if not xi.is_hom:
         raise InvalidParameter("quotient factorization is defined for homomorphisms")
     p = xi.dom
+    fibers: dict[int, int] = {}
+    for x, v in enumerate(xi.map):
+        fibers[v] = fibers.get(v, 0) | 1 << x
     blocks: list[frozenset[int]] = []
     block_of = [-1] * p.n
     for x in range(p.n):
         if block_of[x] >= 0:
             continue
-        blk = gamma_block(xi, x).members
-        idx = len(blocks)
-        blocks.append(blk)
+        # the gamma_block of x, walked inside its fiber's mask
+        blk = frozenset(bits(_zigzag(p, fibers[xi.map[x]], x)))
         for y in blk:
-            block_of[y] = idx
+            block_of[y] = len(blocks)
+        blocks.append(blk)
 
     rows = [mask_of(block_of[y] for x in blk for y in bits(p.up_mask(x))) for blk in blocks]
     _transitive_hull(rows)

@@ -26,7 +26,7 @@ from .errors import (
     UniverseMismatch,
 )
 from .homs import count_maps
-from .poset import Poset, gamma, induced, is_connected, require_nonempty
+from .poset import Poset, gamma, is_connected, require_nonempty
 
 
 def embeddable_connected(*targets: Poset) -> IsoClassTable:
@@ -44,7 +44,7 @@ def embeddable_connected(*targets: Poset) -> IsoClassTable:
 def _embeddable_table(targets: tuple[Poset, ...]) -> IsoClassTable:
     # a connected subset lies inside one component of its target
     return IsoClassTable(
-        induced(t, members)
+        [mask_of(k for k, y in enumerate(members) if t.leq(x, y)) for x in members]
         for t in targets
         for component in t.component_orders
         for members in (tuple(bits(m)) for m in submasks(mask_of(component)) if m)
@@ -117,14 +117,14 @@ _NAME_OF_CODE: dict[bytes, str] = {}
 
 
 def display_name(p: Poset) -> str:
-    """Catalog name of p's class when it has one, else a code-based tag."""
+    """Catalog name of p's class when it has one, else a tag of its whole code."""
     if not _NAME_OF_CODE:
         from .serialize import parse_catalog_ref
 
         for name in _CATALOG_NAMES:
             _NAME_OF_CODE[canonical_form(parse_catalog_ref(name))] = name
     code = canonical_form(p)
-    return _NAME_OF_CODE.get(code) or f"P{p.n}#{code[1:3].hex()}"
+    return _NAME_OF_CODE.get(code) or f"P{p.n}#{code[1:].hex()}"
 
 
 def factor_matrices(
@@ -166,14 +166,8 @@ def factor_matrices(
             parts.append(f"classes embeddable in no target: {', '.join(extra)}")
         raise UniverseMismatch("; ".join(parts))
 
-    if row_names is None:
-        row_names = tuple(display_name(p) for p in universe)
-    else:
-        row_names = tuple(row_names)
-    if target_names is None:
-        target_names = tuple(display_name(t) for t in targets)
-    else:
-        target_names = tuple(target_names)
+    row_names = tuple(map(display_name, universe) if row_names is None else row_names)
+    target_names = tuple(map(display_name, targets) if target_names is None else target_names)
 
     sro_cells = tuple(
         tuple(count_strict_onto_orbits(p, q) for q in universe) for p in universe
@@ -194,11 +188,10 @@ def factor_matrices(
                     f"factorization identity fails at row {row_names[i]}, "
                     f"column {target_names[tj]}: {total} != {strict_cells[i][tj]}"
                 )
-    uni_names = row_names
     return FactorMatrices(
         universe=universe,
         targets=targets,
-        sro=CountMatrix(row_names, uni_names, sro_cells),
+        sro=CountMatrix(row_names, row_names, sro_cells),
         emb=CountMatrix(row_names, target_names, emb_cells),
         strict=CountMatrix(row_names, target_names, strict_cells),
     )

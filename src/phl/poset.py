@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._bits import bits, mask_of
+from ._bits import bits, down_rows, heights, mask_of
 from .errors import (
     DuplicateLabel,
     EmptyPoset,
@@ -66,12 +66,7 @@ class Poset:
         self.labels = labels
         self.n = n
         self._up = up_rows
-        down = [0] * n
-        for i in range(n):
-            row = up_rows[i]
-            for j in bits(row):
-                down[j] |= 1 << i
-        self._down = tuple(down)
+        self._down = tuple(down_rows(up_rows))
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._hash = hash((labels, up_rows))
 
@@ -138,11 +133,7 @@ class Poset:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain strictly below each element."""
-        h = [0] * self.n
-        for i in sorted(range(self.n), key=lambda i: self._down[i].bit_count()):
-            below = self.downo_mask(i)
-            h[i] = 1 + max((h[j] for j in bits(below)), default=-1)
-        return tuple(h)
+        return tuple(heights(self._down))
 
     @cached_property
     def component_orders(self) -> tuple[tuple[int, ...], ...]:
@@ -406,15 +397,19 @@ def gamma(p: Poset, subset: Iterable[int], x: int) -> frozenset[int]:
     smask = mask_of(idx)
     if not isinstance(x, int) or isinstance(x, bool) or x < 0 or not (smask >> x) & 1:
         raise IndexOutOfRange(f"{x!r} is not a member of the subset")
+    return frozenset(bits(_zigzag(p, smask, x)))
+
+
+def _zigzag(p: Poset, inside: int, x: int) -> int:
+    """Mask of the zigzag component of x inside the index mask `inside`."""
     seen = 1 << x
     frontier = [x]
     while frontier:
         y = frontier.pop()
-        nbrs = (p.up_mask(y) | p.down_mask(y)) & smask & ~seen
-        for z in bits(nbrs):
-            seen |= 1 << z
-            frontier.append(z)
-    return frozenset(bits(seen))
+        nbrs = (p._up[y] | p._down[y]) & inside & ~seen
+        seen |= nbrs
+        frontier.extend(bits(nbrs))
+    return seen
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phl import canonical
+from phl._bits import bits
 from phl.canonical import (
     IsoClassTable,
     _canonical,
+    _classes_of_size,
+    _extensions,
     _refined_classes,
     all_isomorphisms,
     canonical_form,
@@ -22,6 +26,10 @@ from phl.poset import Poset, catalog, direct_sum, is_connected
 from phl.randgen import random_poset
 
 from conftest import catalog_zoo, posets
+
+
+def rows(p):
+    return [p.up_mask(i) for i in range(p.n)]
 
 
 def shuffled_copy(p, seed):
@@ -95,7 +103,7 @@ def test_class_sequence_is_pinned():
 
 def least_step_rows(p):
     """Rows of the least step code over every class-respecting ordering."""
-    cls = _refined_classes(p)
+    cls = _refined_classes(rows(p))
     slots = sorted(cls)
     best = None
     for perm in permutations(range(p.n)):
@@ -119,7 +127,7 @@ def least_step_rows(p):
 @given(posets(max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_canonical_rows_are_the_least_class_respecting_code(p):
-    assert _canonical(p)[1] == least_step_rows(p)
+    assert _canonical(rows(p))[1] == least_step_rows(p)
 
 
 def crown(k, prefix):
@@ -134,7 +142,7 @@ def test_canonical_form_is_invariant_beyond_refinement():
     # every minimal element of the 4-crown plus the 6-crown gets one
     # refinement class, yet the two crowns are different orbits
     p = direct_sum(crown(2, "a"), crown(3, "c"))
-    assert len(set(_refined_classes(p))) == 2
+    assert len(set(_refined_classes(rows(p)))) == 2
     codes = {canonical_form(shuffled_copy(p, seed)) for seed in range(12)}
     assert codes == {canonical_form(p)}
 
@@ -167,7 +175,7 @@ def test_enumerated_classes_are_canonical_and_distinct():
 def test_class_table_of_shuffled_copies_is_the_enumeration():
     classes = list(enumerate_posets(4))
     copies = [shuffled_copy(p, seed) for seed in range(3) for p in reversed(classes)]
-    table = IsoClassTable(copies)
+    table = IsoClassTable(rows(p) for p in copies)
     assert len(table) == len(classes)
     assert table.posets == tuple(classes)
     assert table.codes == tuple(canonical_form(p) for p in classes)
@@ -197,3 +205,47 @@ def test_catalog_members_appear_in_enumeration():
         assert canonical_form(catalog(name)) in codes4
     assert canonical_form(catalog("V", 3)) in codes4
     assert canonical_form(direct_sum(catalog("C", 2), catalog("C", 2))) in codes4
+
+
+def test_representatives_list_elements_along_a_linear_extension():
+    for p in enumerate_posets(7):
+        assert all(p.up_mask(i) >> i << i == p.up_mask(i) for i in range(p.n))
+
+
+def ideals_by_definition(p):
+    """Every down-closed mask of p, by filtering all 2^n masks."""
+    return [
+        m for m in range(1 << p.n)
+        if all(not (p.downo_mask(i) & ~m) for i in bits(m))
+    ]
+
+
+def test_extensions_are_the_down_closed_candidates():
+    for n in range(1, 7):
+        expected = sorted(
+            tuple(row | (1 << (n - 1)) * ((ideal >> i) & 1) for i, row in enumerate(rows(base)))
+            + (1 << (n - 1),)
+            for base in _classes_of_size(n - 1)
+            for ideal in ideals_by_definition(base)
+        )
+        assert sorted(tuple(r) for r in _extensions(n)) == expected
+
+
+def test_generation_builds_one_poset_per_class(monkeypatch):
+    init, built = Poset.__init__, []
+
+    def counting_init(self, labels, up_rows):
+        built.append(len(up_rows))
+        init(self, labels, up_rows)
+
+    monkeypatch.setattr(Poset, "__init__", counting_init)
+    canonical._classes_of_size.cache_clear()
+    canonical._connected_of_size.cache_clear()
+    try:
+        classes = list(enumerate_posets(6))
+        list(enumerate_connected(6))
+    finally:
+        canonical._classes_of_size.cache_clear()
+        canonical._connected_of_size.cache_clear()
+    # one per class, and one for the empty base of size 0
+    assert sorted(built) == [0] + [p.n for p in classes]

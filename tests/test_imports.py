@@ -63,17 +63,26 @@ def test_unknown_attribute_raises_attribute_error():
         phl.no_such_name
 
 
-def test_only_homs_uses_its_private_names():
+def private_imports_from(module: str) -> list[str]:
+    """Underscore names other phl modules import from phl.<module>."""
     src = Path(phl.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
-        if path.stem == "homs":
+        if path.stem == module:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
-                (1, "homs"), (0, "phl.homs"),
+                (1, module), (0, f"phl.{module}"),
             ):
                 offenders += [
                     f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")
                 ]
-    assert offenders == []
+    return offenders
+
+
+def test_only_homs_uses_its_private_names():
+    assert private_imports_from("homs") == []
+
+
+def test_only_canonical_uses_its_private_names():
+    assert private_imports_from("canonical") == []

@@ -147,6 +147,11 @@ def test_display_names():
     assert display_name(odd).startswith("P5#")
 
 
+def test_display_names_tell_classes_apart():
+    names = [display_name(p) for p in enumerate_posets(6)]
+    assert len(set(names)) == len(names)
+
+
 CATALOG_REFS = (
     ("A1", "A", 1), ("A2", "A", 2), ("A3", "A", 3), ("A4", "A", 4),
     ("C2", "C", 2), ("C3", "C", 3), ("C4", "C", 4),
@@ -191,7 +196,11 @@ def test_embeddable_table_matches_the_all_subsets_definition():
         for _ in range(30)
     ]
     for targets in cases:
-        expected = IsoClassTable(sub for t in targets for sub in brute_embeddable(t).values())
+        expected = IsoClassTable(
+            [sub.up_mask(i) for i in range(sub.n)]
+            for t in targets
+            for sub in brute_embeddable(t).values()
+        )
         table = embeddable_connected(*targets)
         assert (table.codes, table.posets) == (expected.codes, expected.posets)
 
