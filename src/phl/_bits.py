@@ -42,6 +42,11 @@ def down_rows(up_rows: Sequence[int]) -> list[int]:
 def heights(down: Sequence[int]) -> list[int]:
     """Length of the longest chain strictly below each element, from down-rows."""
     h = [0] * len(down)
-    for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
-        h[i] = 1 + max((h[j] for j in bits(down[i] & ~(1 << i))), default=-1)
+    layer, alive = range(len(down)), (1 << len(down)) - 1
+    while layer:
+        # the next layer: elements with some element of this one strictly below
+        layer = [i for i in layer if down[i] & alive & ~(1 << i)]
+        alive = mask_of(layer)
+        for i in layer:
+            h[i] += 1
     return h

@@ -22,6 +22,13 @@ prune values that leave too few indices to cover the missing ones.
 The core stops one level early and yields each partial assignment with
 the candidate mask of the last index.
 
+Every kind but hom is strict, so f(x) has at least as long a chain
+below it (height) and above it (depth) as x has: each index starts from
+the codomain values of large enough height and depth, and the search
+ends at once when some index has none.  Its tables are built once per
+poset and kept there: the codomain's strict and incomparability rows
+and rank masks, and the domain's constraint plan per search order.
+
 enumerate_maps runs it in index order.  map_tuples and count_maps walk
 each zigzag component of the domain breadth-first, so every index
 after the first has an assigned comparable neighbour and the search
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import config
 from ._bits import bits, mask_of
@@ -179,7 +186,7 @@ def _check_args(kind: str, p: Poset, q: Poset) -> None:
 
 
 def _search(kind: str, p: Poset, q: Poset,
-            order: Sequence[int]) -> Iterator[tuple[list[int], int]]:
+            order: tuple[int, ...] | range) -> Iterator[tuple[list[int], int]]:
     """Depth-first search over the indices of order, stopping one level early.
 
     Yields (assign, mask) for every feasible assignment of order[:-1],
@@ -188,40 +195,48 @@ def _search(kind: str, p: Poset, q: Poset,
     ascending order at every level.
     """
     n, m = len(order), q.n
-    full = (1 << m) - 1
-    if kind == "hom":
-        up_rows, down_rows = q._up, q._down
-    else:
-        up_rows = [r ^ (1 << v) for v, r in enumerate(q._up)]
-        down_rows = [r ^ (1 << v) for v, r in enumerate(q._down)]
-    apart_rows = None
-    if kind in ("emb", "aut"):
-        apart_rows = [full ^ (u | d) for u, d in zip(q._up, q._down)]
     onto = kind in ("strict_onto", "aut")
-    pup = p._up
+    if onto and m > n:
+        return
+    codes = 3 if kind in ("emb", "aut") else 2  # plan codes that pick a row table
+    if kind == "hom":
+        tables = (q._up, q._down)
+        start = [(1 << m) - 1] * n
+    else:
+        # a strict map sends each chain to a chain of the same length
+        tables = q._search_rows
+        at_height, at_depth = q._rank_masks
+        top = len(at_height)  # q's longest chain, counted in elements
+        ph, pd = p.heights, p.depths
+        start = []
+        for i in order:
+            h, d = ph[i], pd[i]
+            cand = at_height[h] & at_depth[d] if h < top and d < top else 0
+            if not cand:
+                return
+            start.append(cand)
+    plan = p._plans.get(order)
+    if plan is None:
+        # per level k, byte t: code 0, 1 or 2 when order[t] is below, above
+        # or apart from order[k]
+        pup = p._up
+        plan = p._plans[order] = tuple(
+            bytes(0 if (pup[j] >> i) & 1 else 1 if (pup[i] >> j) & 1 else 2
+                  for j in order[:k])
+            for k, i in enumerate(order)
+        )
     # constraints[k]: (earlier index j, rows) pairs; rows[assign[j]] is
     # ANDed into the candidates of order[k]
-    constraints = []
-    for k, i in enumerate(order):
-        level = []
-        for j in order[:k]:
-            if (pup[j] >> i) & 1:
-                level.append((j, up_rows))
-            elif (pup[i] >> j) & 1:
-                level.append((j, down_rows))
-            elif apart_rows is not None:
-                level.append((j, apart_rows))
-        constraints.append(level)
+    constraints = [[(order[t], tables[c]) for t, c in enumerate(level) if c < codes]
+                   for level in plan]
 
     assign = [0] * p.n
     last = n - 1
-    first = 0 if onto and m > n else full
     if last == 0:
-        if first:
-            yield assign, first
+        yield assign, start[0]
         return
     masks = [0] * last
-    masks[0] = first
+    masks[0] = start[0]
     used = [0] * n  # onto kinds: values taken by order[:k]
     k = 0
     while k >= 0:
@@ -233,7 +248,7 @@ def _search(kind: str, p: Poset, q: Poset,
         masks[k] = mk ^ low
         assign[order[k]] = low.bit_length() - 1
         k1 = k + 1
-        cand = full
+        cand = start[k1]
         for j, rows in constraints[k1]:
             cand &= rows[assign[j]]
         if onto:
@@ -251,7 +266,7 @@ def _search(kind: str, p: Poset, q: Poset,
 
 
 def _solutions(kind: str, p: Poset, q: Poset,
-               order: Sequence[int]) -> Iterator[tuple[int, ...]]:
+               order: tuple[int, ...] | range) -> Iterator[tuple[int, ...]]:
     """Value tuples of every map of the kind, lexicographic in order[0], order[1], ..."""
     last = order[-1]
     for assign, mask in _search(kind, p, q, order):

@@ -69,6 +69,7 @@ class Poset:
         self._down = tuple(down_rows(up_rows))
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._hash = hash((labels, up_rows))
+        self._plans = {}  # map-search constraint plans by search order, kept by homs
 
     # -- lookups ---------------------------------------------------------
 
@@ -136,6 +137,11 @@ class Poset:
         return tuple(heights(self._down))
 
     @cached_property
+    def depths(self) -> tuple[int, ...]:
+        """Length of the longest chain strictly above each element."""
+        return tuple(heights(self._up))
+
+    @cached_property
     def component_orders(self) -> tuple[tuple[int, ...], ...]:
         """Breadth-first orders of the zigzag components, by least element."""
         orders = []
@@ -151,6 +157,22 @@ class Poset:
             left &= ~seen
             orders.append(tuple(order))
         return tuple(orders)
+
+    # -- map-search tables, built once per poset and read by homs --------
+
+    @cached_property
+    def _search_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per element: the elements strictly above, strictly below, incomparable."""
+        return (tuple(r ^ (1 << i) for i, r in enumerate(self._up)),
+                tuple(r ^ (1 << i) for i, r in enumerate(self._down)),
+                tuple(self.full_mask ^ (u | d) for u, d in zip(self._up, self._down)))
+
+    @cached_property
+    def _rank_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Entry r of the first (second) holds the elements of height (depth) >= r."""
+        ranks = self.heights, self.depths
+        return tuple(tuple(mask_of(i for i, h in enumerate(rs) if h >= r)
+                           for r in range(max(rs, default=-1) + 1)) for rs in ranks)
 
     def is_antichain(self, subset: Iterable[int]) -> bool:
         idx = self._subset_indices(subset)

@@ -21,7 +21,7 @@ Construction specs: {"P": .., "Q": .., "A": [labels], "B": [labels],
 
 DOT output renders the cover relation bottom-up with one rank per
 height level; vicinity systems export as JSON lines or DOT with one
-cluster per fiber.
+cluster per fiber, refusing more <+ pairs than DEFAULT_DOT_EDGE_CEILING.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import json
 import re
 from typing import TYPE_CHECKING
 
+from . import config
 from ._bits import bits
-from .errors import MalformedCertificate, MalformedDocument, PhlError
+from .errors import MalformedCertificate, MalformedDocument, PhlError, SizeOverflow
 from .homs import HomMap
 from .poset import Poset, catalog, direct_sum, from_pairs
 
@@ -170,6 +171,9 @@ def ev_to_jsonl(system: EVSystem) -> str:
 
 
 def ev_to_dot(system: EVSystem, name: str = "ev") -> str:
+    edges = sum(row.bit_count() for row in system._lt_rows)
+    if edges > config.DEFAULT_DOT_EDGE_CEILING:
+        raise SizeOverflow(edges, config.DEFAULT_DOT_EDGE_CEILING)
     base = system.base
     ids = [e.render(base) for e in system.elements]
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;", "  node [shape=plaintext];"]

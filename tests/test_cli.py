@@ -256,6 +256,16 @@ def test_ev_dot(capsys):
     code, out, _ = run(capsys, "ev", "--p", "catalog:C2", "--format", "dot")
     assert code == 0
     assert out.startswith('digraph "ev" {')
+    assert out.endswith("}\n")
+
+
+def test_ev_dot_refuses_too_many_edges(capsys):
+    # C10 has 5,120 vicinity points, under the point ceiling, but
+    # 2,949,120 <+ pairs, one DOT line each
+    code, out, err = run(capsys, "ev", "--p", "catalog:C10", "--format", "dot")
+    assert code == 2
+    assert out == ""
+    assert err == "error: SizeOverflow: structure of size 2949120 exceeds ceiling 1048576\n"
 
 
 def test_dot(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -69,6 +70,41 @@ def test_enumeration_is_lexicographic(n_poset, c3):
         (1, 0, 2, 1),
         (1, 0, 2, 2),
     ]
+
+
+# SHA-256 over (kind, count, maps in enumeration order) for every ordered
+# pair of classes of size 1..4, aut on equal pairs only
+ENUMERATION_DIGEST = "814efb8f679a5e521a7686b865fe168e8f835a7c1cd5a7f2a96b22d747ba054e"
+
+
+def test_enumeration_digest_is_pinned():
+    classes = list(enumerate_posets(4))
+    digest = hashlib.sha256()
+    for p in classes:
+        for q in classes:
+            for kind in KINDS:
+                if kind == "aut" and p != q:
+                    continue
+                maps = [m.map for m in enumerate_maps(kind, p, q)]
+                tuples = list(map_tuples(kind, p, q))
+                count = count_maps(kind, p, q)
+                assert count == len(maps) == len(tuples)
+                assert sorted(tuples) == maps
+                digest.update(repr((kind, count, maps)).encode())
+    assert digest.hexdigest() == ENUMERATION_DIGEST
+
+
+def test_strict_images_respect_ranks():
+    """A strict map never sends x to a value with a shorter chain below or above."""
+    doms = list(enumerate_posets(5))
+    cods = [q for q in doms if q.n <= 4]
+    for p in doms:
+        for q in cods:
+            for f in itertools.product(range(q.n), repeat=p.n):
+                if tuple_is_hom(p, q, f) and tuple_is_strict(p, q, f):
+                    for x, y in enumerate(f):
+                        assert q.heights[y] >= p.heights[x]
+                        assert q.depths[y] >= p.depths[x]
 
 
 def test_counts_on_worked_cells(n_poset, c3, v3, lambda3):

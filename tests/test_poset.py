@@ -81,6 +81,7 @@ def test_covers_and_heights_on_chain():
     c4 = catalog("C", 4)
     assert c4.cover_pairs() == [(0, 1), (1, 2), (2, 3)]
     assert c4.heights == (0, 1, 2, 3)
+    assert c4.depths == (3, 2, 1, 0)
 
 
 def test_covers_skip_transitive_edges():
@@ -233,6 +234,13 @@ def test_sum_sizes_and_relation_counts(p, q):
 def test_heights_strictly_increase_along_covers(p):
     for i, j in p.cover_pairs():
         assert p.heights[i] < p.heights[j]
+
+
+@given(posets(max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_depths_are_heights_of_the_dual(p):
+    dual = Poset(p.labels, [p.down_mask(i) for i in range(p.n)])
+    assert p.depths == dual.heights
 
 
 def test_all_catalog_posets_validate():
