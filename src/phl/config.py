@@ -19,6 +19,8 @@ DEFAULT_DISTRIBUTOR_BOUND = 6
 DEFAULT_ORACLE_CEILING = 10**7
 # Extended-vicinity systems refuse more points than this.
 DEFAULT_EV_CEILING = 2**16
+# Embeddable-class scans refuse a target component with more subsets than this.
+DEFAULT_SUBSET_CEILING = 2**12
 # DOT export of an extended-vicinity system refuses more <+ edges than this.
 DEFAULT_DOT_EDGE_CEILING = 2**20
 # Enumeration of isomorphism classes refuses sizes beyond this.

@@ -6,6 +6,14 @@ characterize the relation, so bounded_gle_check scans all connected
 classes up to a bound; a counterexample refutes R <=_G S outright,
 while a clean scan is evidence bounded by n_max.
 
+A connected P has a connected image, which lies inside one component
+of the target, so #strict(P, R) is the sum of #strict(P, R_c) over the
+components R_c of R.  The scans of bounded_gle_check and witness_search
+use this: a component shared by R and S (equal relation rows), or
+repeated within one of them, is counted once per class and weighted by
+its multiplicity on each side, and a component whose longest chain is
+shorter than P's admits no strict map and is skipped.
+
 A certificate upgrades bounded evidence to a theorem.  Its ingredients:
 
   * the connected classes Q_1..Q_I embeddable in R and Q'_1..Q'_J
@@ -68,13 +76,30 @@ def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessRe
         n_max = config.DEFAULT_SCAN_BOUND
     config.check_bound(n_max)
     checked = 0
-    for p in enumerate_connected(n_max):
+    for p, cr, cs in _strict_count_pairs(r, s, n_max):
         checked += 1
-        cr = count_maps("strict", p, r)
-        cs = count_maps("strict", p, s)
         if cr > cs:
             return WitnessReport("counterexample", n_max, checked, (p, (cr, cs)))
     return WitnessReport("holds_up_to_bound", n_max, checked, None)
+
+
+def _strict_count_pairs(r: Poset, s: Poset, n_max: int):
+    """Yield (p, #strict(p, r), #strict(p, s)) for each connected class p up to n_max,
+    summed over the components of r and s as the module docstring describes."""
+    groups: dict[tuple[int, ...], list] = {}  # rows -> [component, count in r, count in s]
+    for side, t in enumerate((r, s), 1):
+        for c in t.component_posets:
+            groups.setdefault(c._up, [c, 0, 0])[side] += 1
+    shared = [(c, c.longest_chain, mr, ms) for c, mr, ms in groups.values()]
+    for p in enumerate_connected(n_max):
+        chain = p.longest_chain
+        cr = cs = 0
+        for c, top, mr, ms in shared:
+            if chain <= top:
+                k = count_maps("strict", p, c)
+                cr += mr * k
+                cs += ms * k
+        yield p, cr, cs
 
 
 def check_distributing(tau: HomMap) -> str:
@@ -395,9 +420,7 @@ def witness_search(r: Poset, s: Poset, n_max: int | None = None) -> tuple[Poset,
     if n_max is None:
         n_max = max(r.n, s.n)
     config.check_bound(n_max)
-    for p in enumerate_connected(n_max):
-        cr = count_maps("strict", p, r)
-        cs = count_maps("strict", p, s)
+    for p, cr, cs in _strict_count_pairs(r, s, n_max):
         if cr != cs:
             return p, (cr, cs)
     raise NoWitnessFound(

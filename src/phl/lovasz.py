@@ -17,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import config
 from ._bits import bits, mask_of, submasks
 from .canonical import IsoClassTable, canonical_form
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
     NonIntegralQuotient,
+    SizeOverflow,
     UniverseMismatch,
 )
 from .homs import count_maps
@@ -34,9 +36,14 @@ def embeddable_connected(*targets: Poset) -> IsoClassTable:
 
     Embeddings are exactly isomorphisms onto induced subposets, so the
     table collects the connected induced subposets of the targets up to
-    isomorphism, as canonical representatives.
+    isomorphism, as canonical representatives.  A target component of c
+    elements has 2^c subsets to scan; SizeOverflow refuses more than
+    config.DEFAULT_SUBSET_CEILING before any is scanned.
     """
     require_nonempty(*targets)
+    subsets = max(1 << len(order) for t in targets for order in t.component_orders)
+    if subsets > config.DEFAULT_SUBSET_CEILING:
+        raise SizeOverflow(subsets, config.DEFAULT_SUBSET_CEILING)
     return _embeddable_table(targets)
 
 

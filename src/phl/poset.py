@@ -137,6 +137,11 @@ class Poset:
         return tuple(heights(self._down))
 
     @cached_property
+    def longest_chain(self) -> int:
+        """Number of elements in a longest chain (0 when empty)."""
+        return max(self.heights, default=-1) + 1
+
+    @cached_property
     def depths(self) -> tuple[int, ...]:
         """Length of the longest chain strictly above each element."""
         return tuple(heights(self._up))
@@ -157,6 +162,17 @@ class Poset:
             left &= ~seen
             orders.append(tuple(order))
         return tuple(orders)
+
+    @cached_property
+    def component_posets(self) -> tuple["Poset", ...]:
+        """The zigzag components as induced posets, by least element.
+
+        A connected poset is its own single component.  Kept so that each
+        component keeps its map-search tables from one call to the next.
+        """
+        if len(self.component_orders) == 1:
+            return (self,)
+        return tuple(induced(self, order) for order in self.component_orders)
 
     # -- map-search tables, built once per poset and read by homs --------
 

@@ -1,10 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import phl
 from phl.poset import catalog
 from phl.randgen import random_poset
+
+# Child interpreters that tests start import the same phl as this process,
+# also when pytest found it through its own pythonpath setting.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    path for path in (str(Path(phl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")) if path
+)
 
 
 @pytest.fixture

@@ -118,6 +118,14 @@ def test_matrix_on_a_wide_antichain(capsys):
     assert out.endswith("# strict maps\n    A25\nA1   25\n")
 
 
+def test_matrix_refuses_a_long_connected_target(capsys):
+    # one component with 2^25 subsets: refused before any is scanned
+    code, out, err = run(capsys, "matrix", "--targets", "catalog:C25")
+    assert code == 2
+    assert out == ""
+    assert err == "error: SizeOverflow: structure of size 33554432 exceeds ceiling 4096\n"
+
+
 def test_matrix_pretty_blanks_zeros(capsys):
     code, out, _ = run(capsys, "matrix", "--targets", "catalog:C2")
     assert code == 0

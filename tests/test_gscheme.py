@@ -1,9 +1,10 @@
 import dataclasses
+import operator
 import random
 
 import pytest
 
-from phl.canonical import enumerate_connected, is_isomorphic
+from phl.canonical import enumerate_connected, enumerate_posets, is_isomorphic
 from phl.errors import (
     InvalidParameter,
     MalformedCertificate,
@@ -23,8 +24,10 @@ from phl.gscheme import (
     verify_certificate,
     witness_search,
 )
-from phl.homs import HomMap, enumerate_maps
-from phl.poset import catalog, direct_sum
+from phl.homs import HomMap, brute_force_count, count_maps, enumerate_maps
+from phl.poset import Poset, catalog, direct_sum
+from phl.randgen import random_connected_poset, random_poset
+from phl.serialize import parse_catalog_ref
 
 
 def a1c3():
@@ -301,3 +304,70 @@ def test_witness_search_separates_same_size_pair(v3, lambda3):
     p, (cr, cs) = witness_search(v3, lambda3)
     assert cr != cs
     assert p.n <= 3
+
+
+# -- the component-additive scan against direct counting ----------------------
+
+def reference_scan(r, s, n_max, separates):
+    """First (classes checked, (p, counts)) whose direct counts separate, else None."""
+    for checked, p in enumerate(enumerate_connected(n_max), 1):
+        counts = count_maps("strict", p, r), count_maps("strict", p, s)
+        if separates(*counts):
+            return checked, (p, counts)
+    return checked, None
+
+
+def relaid(p, rng):
+    """An isomorphic copy of p with its carrier shuffled and relabelled."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    rows = [0] * p.n
+    for i in range(p.n):
+        rows[perm[i]] = sum(1 << perm[j] for j in range(p.n) if p.leq(i, j))
+    return Poset([f"y{k}" for k in range(p.n)], rows)
+
+
+def scan_cases():
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(30):
+        r, s = (rng.choice((random_poset, random_connected_poset))(
+            rng, rng.randint(1, 6), rng.choice((0.2, 0.4))) for _ in range(2))
+        cases.append((r, s, 5))
+    for _ in range(15):
+        # equal sizes, so the first class (A1) does not separate them
+        n = rng.randint(3, 6)
+        cases.append(tuple(random_poset(rng, n, rng.choice((0.2, 0.4))) for _ in range(2)) + (5,))
+    for _ in range(12):
+        r = random_poset(rng, rng.randint(1, 4), 0.3)
+        x = random_poset(rng, rng.randint(1, 2), 0.3)
+        cases.append((r, direct_sum(r, x), 5))
+        cases.append((r, direct_sum(x, relaid(r, rng)), 5))
+        cases.append((direct_sum(r, x), r, 5))
+    named = [("A3", "A1+C2"), ("A1+C2", "A3"), ("C2+C2+A1", "C2+A2"),
+             ("A2+C2", "C2+C2+A1"), ("N", "A1+C3"), ("A1+C3", "N"), ("W", "A1+N2"),
+             ("V3", "Lambda3"), ("C3+V3", "V3+Lambda3")]
+    cases += [(parse_catalog_ref(a), parse_catalog_ref(b), 6) for a, b in named]
+    return cases
+
+
+def test_strict_scans_match_direct_counting():
+    verdicts = set()
+    for r, s, n_max in scan_cases():
+        checked, witness = reference_scan(r, s, n_max, operator.gt)
+        report = bounded_gle_check(r, s, n_max)
+        assert (report.classes_checked, report.witness) == (checked, witness)
+        verdicts.add(report.verdict)
+        if not is_isomorphic(r, s):
+            assert witness_search(r, s) == reference_scan(r, s, max(r.n, s.n), operator.ne)[1]
+    assert verdicts == {"holds_up_to_bound", "counterexample"}
+
+
+def test_longer_chain_admits_no_strict_map():
+    """The scans skip a component whose longest chain is shorter than p's."""
+    small = list(enumerate_posets(4))
+    doms = small + [p for p in enumerate_connected(5) if p.n == 5]
+    for p in doms:
+        for q in small:
+            if p.longest_chain > q.longest_chain:
+                assert brute_force_count("strict", p, q) == 0

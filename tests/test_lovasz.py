@@ -9,7 +9,7 @@ from phl.canonical import (
     enumerate_posets,
     is_isomorphic,
 )
-from phl.errors import InvalidParameter, UniverseMismatch
+from phl.errors import InvalidParameter, SizeOverflow, UniverseMismatch
 from phl.homs import count_maps
 from phl.lovasz import (
     CountMatrix,
@@ -203,6 +203,25 @@ def test_embeddable_table_matches_the_all_subsets_definition():
         )
         table = embeddable_connected(*targets)
         assert (table.codes, table.posets) == (expected.codes, expected.posets)
+
+
+def test_embeddable_refuses_a_component_with_too_many_subsets(monkeypatch):
+    from phl import config, lovasz
+
+    def no_scan(mask):
+        raise AssertionError("a subset was scanned")
+
+    monkeypatch.setattr(lovasz, "submasks", no_scan)
+    with pytest.raises(SizeOverflow) as exc:
+        embeddable_connected(catalog("A", 1), catalog("C", 25))
+    assert (exc.value.size, exc.value.ceiling) == (2**25, config.DEFAULT_SUBSET_CEILING)
+    monkeypatch.undo()
+    # the ceiling is per component: 25 one-element components pass
+    assert len(embeddable_connected(catalog("A", 25)).codes) == 1
+    monkeypatch.setattr(config, "DEFAULT_SUBSET_CEILING", 8)
+    assert len(embeddable_connected(catalog("C", 3)).codes) == 3
+    with pytest.raises(SizeOverflow):
+        embeddable_connected(catalog("C", 4))
 
 
 def test_matrix_rendering():

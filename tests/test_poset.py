@@ -82,6 +82,9 @@ def test_covers_and_heights_on_chain():
     assert c4.cover_pairs() == [(0, 1), (1, 2), (2, 3)]
     assert c4.heights == (0, 1, 2, 3)
     assert c4.depths == (3, 2, 1, 0)
+    assert c4.longest_chain == 4
+    assert direct_sum(c4, catalog("N")).longest_chain == 4
+    assert from_pairs([], []).longest_chain == 0
 
 
 def test_covers_skip_transitive_edges():
@@ -193,6 +196,15 @@ def test_components_match_gamma_scan(p):
     assert is_connected(p) == (len(blocks) == 1)
 
 
+@given(posets(max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_component_posets_are_the_induced_components(p):
+    parts = p.component_posets
+    assert parts == tuple(induced(p, sorted(block)) for block in components(p).blocks)
+    assert all(is_connected(c) for c in parts)
+    assert p.component_posets is parts
+
+
 def test_antichain_predicate(n_poset, c2):
     assert n_poset.is_antichain([0, 1])
     assert not c2.is_antichain([0, 1])
@@ -241,6 +253,8 @@ def test_heights_strictly_increase_along_covers(p):
 def test_depths_are_heights_of_the_dual(p):
     dual = Poset(p.labels, [p.down_mask(i) for i in range(p.n)])
     assert p.depths == dual.heights
+    # the map search's rank tables count one entry per element of a longest chain
+    assert p.longest_chain == dual.longest_chain == len(p._rank_masks[0]) == len(p._rank_masks[1])
 
 
 def test_all_catalog_posets_validate():
