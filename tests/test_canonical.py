@@ -221,14 +221,17 @@ def ideals_by_definition(p):
 
 
 def test_extensions_are_the_down_closed_candidates():
+    # every down-closed ideal, kept when the new element is in the top class
     for n in range(1, 7):
-        expected = sorted(
-            tuple(row | (1 << (n - 1)) * ((ideal >> i) & 1) for i, row in enumerate(rows(base)))
-            + (1 << (n - 1),)
-            for base in _classes_of_size(n - 1)
-            for ideal in ideals_by_definition(base)
-        )
-        assert sorted(tuple(r) for r in _extensions(n)) == expected
+        expected = []
+        for base in _classes_of_size(n - 1):
+            for ideal in ideals_by_definition(base):
+                up = [row | (1 << (n - 1)) * ((ideal >> i) & 1) for i, row in enumerate(rows(base))]
+                up.append(1 << (n - 1))
+                cls = _refined_classes(up)
+                if cls[-1] == max(cls):
+                    expected.append((tuple(up), tuple(cls)))
+        assert sorted((tuple(up), tuple(cls)) for up, cls in _extensions(n)) == sorted(expected)
 
 
 def test_generation_builds_one_poset_per_class(monkeypatch):

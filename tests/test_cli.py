@@ -337,3 +337,11 @@ def test_internal_invariant_violation_exits_4(capsys, monkeypatch, target, argv)
     assert "InternalInvariantViolation" in err
     assert "broken on purpose" in err
     assert "bug in phl" in err
+
+
+@pytest.mark.parametrize("ref", ["catalog:A12", "catalog:V12", "catalog:Lambda12"])
+def test_witness_on_wide_symmetric_inputs_exits_2(capsys, ref):
+    # an unpruned canonical search codes all 11! or 12! orderings of these
+    expected = (2, "", "error: InvalidParameter: witness search requires non-isomorphic posets\n")
+    assert run(capsys, "witness", "--r", ref, "--s", ref) == expected
+    assert run(capsys, "witness", "--r", ref, "--s", ref) == expected
