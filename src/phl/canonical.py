@@ -55,10 +55,10 @@ def _refined_classes(up: Sequence[int], down: Sequence[int] | None = None) -> li
 
     Elements start keyed by (strict-down-set size, strict-up-set size,
     height) and are split by the sorted keys of their strict down- and
-    up-sets until no class splits.  Keys are dense ranks throughout,
-    which order tuples as the values they rank; a split with every
-    element alone is already stable.  down, when given, is the
-    transpose of up.
+    up-sets until no class splits.  Keys are dense ranks from the start,
+    which sort as the tuples they rank, so the ids are those of ranking
+    the tuples themselves; a split with every element alone is already
+    stable.  down, when given, is the transpose of up.
     """
     n = len(up)
     if down is None:
@@ -115,7 +115,8 @@ def _canonical_perm(up: Sequence[int], cls: Sequence[int]) -> tuple[int, ...]:
     autos: list[tuple[int, list[int]]] = []  # (fixed points, images)
 
     def rec(placed: int, tight: bool) -> int:
-        # tight: the prefix equals the best code's prefix, or there is no best yet
+        # tight: the prefix equals the best code's prefix, or there is no best
+        # yet.  Returns n, or a smaller depth for the search to return to.
         t = len(perm)
         if t == n:
             if not (best and tight):
