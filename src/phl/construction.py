@@ -31,11 +31,11 @@ P|A + T that fixes the points of Q and of P|A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import config
 from ._bits import bits, mask_of
+from ._record import record
 from .canonical import is_isomorphic
 from .errors import (
     CarriersNotDisjoint,
@@ -55,7 +55,7 @@ from .lovasz import display_name, embeddable_connected
 from .poset import Poset, _convexity_witness, direct_sum, induced
 
 
-@dataclass(frozen=True)
+@record
 class ConstructionSpec:
     """Ingredients of a graft: posets, convex index sets, the gluing map."""
 
@@ -96,7 +96,7 @@ class ConstructionSpec:
         return cls.from_indices(p, q, a, b, beta)
 
 
-@dataclass(frozen=True)
+@record
 class RelationParts:
     """The four disjoint label-pair families assembling the graft order."""
 
@@ -106,8 +106,10 @@ class RelationParts:
     up: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@record
 class GraftResult:
+    """The graft T, P|A, P|A + T, the embedding psi of P, and the pair families."""
+
     t: Poset
     a_prime: Poset
     extended: Poset  # a_prime + t
@@ -205,15 +207,19 @@ def build_graft(spec: ConstructionSpec) -> GraftResult:
     return GraftResult(t, a_prime, extended, psi, parts)
 
 
-@dataclass(frozen=True)
+@record
 class EmbRow:
+    """Embedding counts of one connected class into P + Q and into P|A + T."""
+
     name: str
     count_sum: int
     count_graft: int
 
 
-@dataclass(frozen=True)
+@record
 class GraftReport:
+    """graft_pipeline's verdict, per-class embedding counts and optional scan."""
+
     ok: bool
     result: GraftResult
     rows: tuple[EmbRow, ...]
@@ -256,8 +262,10 @@ def graft_pipeline(spec: ConstructionSpec, n_max: int | None = None) -> GraftRep
     return GraftReport(True, result, tuple(rows), scan)
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionReport:
+    """antichain_ev_extension's verdict, its two system sizes and a note."""
+
     ok: bool
     source_size: int
     target_size: int

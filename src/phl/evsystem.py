@@ -25,11 +25,11 @@ comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import config
 from ._bits import bits, mask_of, submasks
+from ._record import record
 from .canonical import enumerate_connected
 from .errors import (
     EmptyPoset,
@@ -45,7 +45,7 @@ from .homs import HomMap, map_tuples
 from .poset import Poset
 
 
-@dataclass(frozen=True)
+@record
 class EVElement:
     """A vicinity point: anchor index, down mask, up mask over the base."""
 
@@ -152,7 +152,7 @@ def ev_at(system: EVSystem, x) -> tuple[EVElement, ...]:
     return system.fiber(x)
 
 
-@dataclass(frozen=True)
+@record
 class EVProfile:
     """The vicinity profile of a strict map: per-element (image, image of
     strict down-set, image of strict up-set), valued over the codomain."""
@@ -190,7 +190,7 @@ def ev_profile(xi: HomMap) -> EVProfile:
     return EVProfile(p, q, triples)
 
 
-@dataclass(frozen=True)
+@record
 class EVMap:
     """A point map between two vicinity systems (positions into target)."""
 
@@ -241,15 +241,19 @@ def is_strict_ev_hom(m: EVMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class EVSchemeViolation:
+    """One failed scheme condition, with the poset that shows it."""
+
     condition: str
     poset: Poset
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class EVSchemeReport:
+    """check_ev_scheme's verdict, work done and violations found."""
+
     ok: bool
     bound: int
     posets_checked: int

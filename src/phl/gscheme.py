@@ -39,10 +39,10 @@ scan as an independent sanity check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import config
+from ._record import record
 from .canonical import canonical_form, enumerate_connected, is_isomorphic
 from .errors import (
     InternalInvariantViolation,
@@ -56,9 +56,14 @@ from .homs import HomMap, count_maps, map_tuples
 from .lovasz import display_name, embeddable_connected
 from .poset import Poset, require_nonempty
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
+
+@record
 class WitnessReport:
+    """A bounded scan's verdict; witness is (P, (#strict(P, R), #strict(P, S)))."""
+
     verdict: str  # "holds_up_to_bound" | "counterexample"
     bound: int
     classes_checked: int
@@ -131,7 +136,7 @@ def suggest_distributing(q: Poset, qprime: Poset) -> list[HomMap]:
     return [m for m in maps if check_distributing(m) == "proved"]
 
 
-@dataclass(frozen=True)
+@record
 class DistributorSpec:
     """A family of strict surjections sharing one target class."""
 
@@ -146,8 +151,10 @@ class DistributorSpec:
                 raise NotStrictOnto(f"source {k} is not a strict surjection")
 
 
-@dataclass(frozen=True)
+@record
 class DistributorReport:
+    """A distributor that held up to bound, with the classes it scanned."""
+
     bound: int
     classes_checked: int
     source_count: int
@@ -206,7 +213,7 @@ def check_distributor(spec: DistributorSpec, n_max: int | None = None) -> Distri
 
 # -- transport certificates -------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TransportCertificate:
     """Certificate data for R <=_G S.
 
@@ -251,8 +258,10 @@ class TransportCertificate:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class InequalityInstance:
+    """The count inequality at one used target class: max of terms <= rhs."""
+
     target_name: str
     terms: tuple[tuple[str, Fraction], ...]
     lhs: Fraction
@@ -263,8 +272,10 @@ class InequalityInstance:
         return self.lhs <= self.rhs
 
 
-@dataclass(frozen=True)
+@record
 class CertificateReport:
+    """verify_certificate's verdict with the evidence behind it."""
+
     verdict: str  # "certified" | "failed"
     bound: int
     failure: str | None
@@ -376,6 +387,8 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
             )
 
     # the count inequality, in exact rational arithmetic
+    from fractions import Fraction
+
     aut_q = [count_maps("aut", p, p) for p in cert.q_classes]
     emb_r = [count_maps("emb", p, cert.r) for p in cert.q_classes]
     ineqs = []

@@ -46,12 +46,12 @@ quotient map followed by a strict inclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterator
 
 from . import config
 from ._bits import bits, mask_of
+from ._record import record
 from .errors import (
     DomainMismatch,
     IndexOutOfRange,
@@ -338,8 +338,10 @@ def pointwise_leq(f: HomMap, g: HomMap) -> bool:
 
 # -- zigzag blocks and the quotient factorization --------------------------
 
-@dataclass(frozen=True)
+@record
 class GammaBlock:
+    """The zigzag component of anchor inside its own fiber."""
+
     anchor: int
     members: frozenset[int]
 
@@ -354,7 +356,7 @@ def gamma_block(xi: HomMap, x: int) -> GammaBlock:
     return GammaBlock(x, gamma(xi.dom, fiber, x))
 
 
-@dataclass(frozen=True)
+@record
 class QuotientFactorization:
     """Blocks, quotient poset, quotient map pi and strict inclusion iota."""
 

@@ -14,11 +14,11 @@ column by column; verify_factorization checks a single (P, T) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import config
 from ._bits import bits, mask_of, submasks
+from ._record import record
 from .canonical import IsoClassTable, canonical_form
 from .errors import (
     InternalInvariantViolation,
@@ -79,8 +79,10 @@ def image_class_count(qclass: Poset, p: Poset, t: Poset) -> int:
     return count_strict_onto_orbits(p, qclass) * count_maps("emb", qclass, t)
 
 
-@dataclass(frozen=True)
+@record
 class CountMatrix:
+    """An integer matrix with named rows and columns."""
+
     row_names: tuple[str, ...]
     col_names: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
@@ -105,7 +107,7 @@ class CountMatrix:
         return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
+@record
 class FactorMatrices:
     """Strict-surjection-orbit, embedding and strict-map count matrices."""
 
@@ -204,8 +206,10 @@ def factor_matrices(
     )
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationTerm:
+    """One class's term of #strict: strict-onto orbits times embeddings."""
+
     name: str
     orbit_count: int
     emb_count: int
@@ -215,8 +219,10 @@ class FactorizationTerm:
         return self.orbit_count * self.emb_count
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationReport:
+    """#strict(p, t) against the sum of its factorization terms."""
+
     ok: bool
     strict_total: int
     factored_total: int

@@ -25,11 +25,11 @@ of x inside S under this relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._bits import bits, down_rows, heights, mask_of
+from ._record import record
 from .errors import (
     DuplicateLabel,
     EmptyPoset,
@@ -450,7 +450,7 @@ def _zigzag(p: Poset, inside: int, x: int) -> int:
     return seen
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """Disjoint nonempty index blocks covering a carrier."""
 

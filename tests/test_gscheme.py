@@ -1,4 +1,3 @@
-import dataclasses
 import operator
 import random
 
@@ -219,6 +218,11 @@ def test_zigzag_chain_certificate_verifies():
     assert report.scan.holds
 
 
+def replace(cert, **changes):
+    """A copy of the record cert with some fields changed."""
+    return type(cert)(**{**vars(cert), **changes})
+
+
 def test_fence_crown_certificate_verifies():
     report = verify_certificate(fence_to_crown_certificate(), 5)
     assert report.certified
@@ -229,17 +233,17 @@ def test_fence_crown_certificate_verifies():
 def test_certificate_fails_on_wrong_class_list():
     cert = zigzag_to_chain_certificate()
     swapped = cert.q_classes[:-1] + (catalog("C", 4),)
-    broken = dataclasses.replace(cert, q_classes=swapped)
+    broken = replace(cert, q_classes=swapped)
     report = verify_certificate(broken, 4)
     assert not report.certified
     assert report.failure == (
         "hypothesis (i): R classes differ from the classes embeddable in R"
     )
     repeated = cert.q_classes[:-1] + (cert.q_classes[0],)
-    report = verify_certificate(dataclasses.replace(cert, q_classes=repeated), 4)
+    report = verify_certificate(replace(cert, q_classes=repeated), 4)
     assert report.failure == "hypothesis (i): R classes repeat"
     # V3, Lambda3 and N do not embed in A1+C3, and C3 does not embed in N
-    report = verify_certificate(dataclasses.replace(cert, s=cert.r), 4)
+    report = verify_certificate(replace(cert, s=cert.r), 4)
     assert report.failure == (
         "hypothesis (i): S classes differ from the classes embeddable in S"
     )
@@ -248,7 +252,7 @@ def test_certificate_fails_on_wrong_class_list():
 def test_certificate_fails_on_uncovered_class():
     cert = zigzag_to_chain_certificate()
     trimmed = DistributorSpec(cert.distributors[2].sources[:2], cert.distributors[2].target)
-    broken = dataclasses.replace(
+    broken = replace(
         cert,
         nu=(1, 1, 2),
         lam=(cert.lam[0], cert.lam[1], cert.lam[2][:2]),
@@ -262,7 +266,7 @@ def test_certificate_fails_on_uncovered_class():
 def test_certificate_fails_on_count_inequality(c3):
     cert = zigzag_to_chain_certificate()
     # same data against the bare chain: the antichain column is too small
-    broken = dataclasses.replace(cert, s=c3)
+    broken = replace(cert, s=c3)
     report = verify_certificate(broken, 4)
     assert not report.certified
     assert "count inequality" in report.failure and "A1" in report.failure
@@ -271,17 +275,17 @@ def test_certificate_fails_on_count_inequality(c3):
 def test_certificate_structural_validation():
     cert = zigzag_to_chain_certificate()
     with pytest.raises(MalformedCertificate):
-        dataclasses.replace(cert, nu=(1, 1))
+        replace(cert, nu=(1, 1))
     with pytest.raises(MalformedCertificate):
-        dataclasses.replace(cert, lam=((0,), (1,), (2, 3)))
+        replace(cert, lam=((0,), (1,), (2, 3)))
     with pytest.raises(MalformedCertificate):
-        dataclasses.replace(cert, lam=((0,), (1,), (2, 3, 99)))
+        replace(cert, lam=((0,), (1,), (2, 3, 99)))
 
 
 def test_certificate_mismatched_distributor_raises():
     cert = zigzag_to_chain_certificate()
     # assign the wrong source classes to the final target
-    broken = dataclasses.replace(
+    broken = replace(
         cert, lam=(cert.lam[0], cert.lam[1], (0, 1, 2))
     )
     with pytest.raises(MalformedCertificate, match="source 0 is not isomorphic"):
@@ -289,7 +293,7 @@ def test_certificate_mismatched_distributor_raises():
     # the C2 distributor also stands for target class A1
     dists = (cert.distributors[1],) + cert.distributors[1:]
     with pytest.raises(MalformedCertificate, match="distributor 0 targets"):
-        verify_certificate(dataclasses.replace(cert, distributors=dists), 4)
+        verify_certificate(replace(cert, distributors=dists), 4)
 
 
 def test_witness_search(c2, c3, v3):

@@ -1,13 +1,17 @@
 """The lazily loaded package surface and the CLI's per-command imports."""
 
 import ast
+import json
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import phl
+from phl.examples import zigzag_to_chain_certificate
+from phl.serialize import certificate_to_doc
 
 # Modules that `phl count` never calls into.
 NOT_FOR_COUNT = (
@@ -86,3 +90,65 @@ def test_only_homs_uses_its_private_names():
 
 def test_only_canonical_uses_its_private_names():
     assert private_imports_from("canonical") == []
+
+
+def test_no_module_imports_dataclasses():
+    src = Path(phl.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "dataclasses"]
+    assert offenders == []
+
+
+def imported(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run python -X importtime with args; the names of the modules it imported."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, names
+
+
+@cache
+def interpreter_floor() -> frozenset[str]:
+    """Modules a bare interpreter imports, site hooks included."""
+    return frozenset(imported("-c", "pass")[1])
+
+
+@pytest.fixture(scope="module")
+def cert_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "zigzag.json"
+    path.write_text(json.dumps(certificate_to_doc(zigzag_to_chain_certificate())))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--kind", "strict", "--p", "catalog:N", "--q", "catalog:N"),
+        ("check-gle", "--r", "catalog:N", "--s", "catalog:A1+C3", "--bound", "4"),
+        ("witness", "--r", "catalog:C3", "--s", "catalog:N", "--bound", "3"),
+        ("verify-cert", "--cert", None, "--bound", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_commands_stay_off_dataclasses_and_inspect(argv, cert_file):
+    argv = tuple(cert_file if a is None else a for a in argv)
+    proc, names = imported("-m", "phl.cli", *argv)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr[-2000:]
+    loaded = names - interpreter_floor()
+    assert {"phl.poset", "phl._record"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    # only the certificate check does exact rational arithmetic
+    assert ("fractions" in loaded) is (argv[0] == "verify-cert")
