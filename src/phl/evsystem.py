@@ -68,9 +68,13 @@ class EVElement:
 
 
 class EVSystem:
-    """All vicinity points of a base poset with the <+ relation."""
+    """All vicinity points of a base poset with the <+ relation.
 
-    __slots__ = ("base", "elements", "_pos", "_lt_rows")
+    Two systems are equal when their bases and point tuples are; the
+    relation rows follow from those, so copies rebuild them.
+    """
+
+    __slots__ = ("base", "elements", "_pos", "_lt_rows", "_hash")
 
     def __init__(self, base: Poset, elements: tuple[EVElement, ...]):
         self.base = base
@@ -112,6 +116,21 @@ class EVSystem:
 
     def fiber(self, x: int) -> tuple[EVElement, ...]:
         return tuple(e for e in self.elements if e.anchor == x)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EVSystem):
+            return NotImplemented
+        return self is other or (self.base == other.base and self.elements == other.elements)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.base, self.elements))
+            return self._hash
+
+    def __reduce__(self):
+        return EVSystem, (self.base, self.elements)
 
     def __repr__(self) -> str:
         return f"EVSystem(base={self.base!r}, size={len(self.elements)})"

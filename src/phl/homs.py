@@ -27,15 +27,19 @@ below it (height) and above it (depth) as x has: each index starts from
 the codomain values of large enough height and depth, and the search
 ends at once when some index has none.  Its tables are built once per
 poset and kept there: the codomain's strict and incomparability rows
-and rank masks, and the domain's constraint plan per search order.
+and rank masks, and the domain's constraint plan per search order and
+kind class.  A plan lists, per level, the earlier indices that constrain
+it, each with the code of the codomain row table to AND in (up, down,
+or, for emb and aut only, apart); the search reads it in place.
 
 enumerate_maps runs it in index order.  map_tuples and count_maps walk
 each zigzag component of the domain breadth-first, so every index
 after the first has an assigned comparable neighbour and the search
 stays inside one component of the codomain.  count_maps adds up the
 last masks' bit counts, multiplied over the domain's components for
-hom and strict.  brute_force_count filters the full value-tuple space
-through the defining predicates and serves as the oracle.
+hom and strict (0 as soon as one component has no map).
+brute_force_count filters the full value-tuple space through the
+defining predicates and serves as the oracle.
 
 Fibers, zigzag blocks and the quotient factorization: for a map f and
 element x, gamma_block gives the zigzag component of x inside its fiber
@@ -46,7 +50,6 @@ quotient map followed by a strict inclusion.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Iterator
 
 from . import config
@@ -186,7 +189,7 @@ def _check_args(kind: str, p: Poset, q: Poset) -> None:
 
 
 def _search(kind: str, p: Poset, q: Poset,
-            order: tuple[int, ...] | range) -> Iterator[tuple[list[int], int]]:
+            order: tuple[int, ...]) -> Iterator[tuple[list[int], int]]:
     """Depth-first search over the indices of order, stopping one level early.
 
     Yields (assign, mask) for every feasible assignment of order[:-1],
@@ -215,20 +218,19 @@ def _search(kind: str, p: Poset, q: Poset,
             if not cand:
                 return
             start.append(cand)
-    plan = p._plans.get(order)
+    key = (order, codes)
+    plan = p._plans.get(key)
     if plan is None:
-        # per level k, byte t: code 0, 1 or 2 when order[t] is below, above
-        # or apart from order[k]
+        # per level k: (earlier index j, code) pairs, code 0, 1 or 2 when j
+        # is below, above or apart from order[k] (apart for emb and aut
+        # only); tables[code][assign[j]] is ANDed into order[k]'s candidates
         pup = p._up
-        plan = p._plans[order] = tuple(
-            bytes(0 if (pup[j] >> i) & 1 else 1 if (pup[i] >> j) & 1 else 2
-                  for j in order[:k])
+        plan = p._plans[key] = tuple(
+            tuple(pair for pair in (
+                (j, 0 if (pup[j] >> i) & 1 else 1 if (pup[i] >> j) & 1 else 2)
+                for j in order[:k]) if pair[1] < codes)
             for k, i in enumerate(order)
         )
-    # constraints[k]: (earlier index j, rows) pairs; rows[assign[j]] is
-    # ANDed into the candidates of order[k]
-    constraints = [[(order[t], tables[c]) for t, c in enumerate(level) if c < codes]
-                   for level in plan]
 
     assign = [0] * p.n
     last = n - 1
@@ -249,8 +251,8 @@ def _search(kind: str, p: Poset, q: Poset,
         assign[order[k]] = low.bit_length() - 1
         k1 = k + 1
         cand = start[k1]
-        for j, rows in constraints[k1]:
-            cand &= rows[assign[j]]
+        for j, c in plan[k1]:
+            cand &= tables[c][assign[j]]
         if onto:
             taken = used[k1] = used[k] | low
             missing = m - taken.bit_count()
@@ -266,7 +268,7 @@ def _search(kind: str, p: Poset, q: Poset,
 
 
 def _solutions(kind: str, p: Poset, q: Poset,
-               order: tuple[int, ...] | range) -> Iterator[tuple[int, ...]]:
+               order: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Value tuples of every map of the kind, lexicographic in order[0], order[1], ..."""
     last = order[-1]
     for assign, mask in _search(kind, p, q, order):
@@ -278,7 +280,7 @@ def _solutions(kind: str, p: Poset, q: Poset,
 def enumerate_maps(kind: str, p: Poset, q: Poset) -> Iterator[HomMap]:
     """Stream the maps of the given class in lexicographic order."""
     _check_args(kind, p, q)
-    for sol in _solutions(kind, p, q, range(p.n)):
+    for sol in _solutions(kind, p, q, tuple(range(p.n))):
         yield HomMap(p, q, sol)
 
 
@@ -293,9 +295,20 @@ def count_maps(kind: str, p: Poset, q: Poset) -> int:
     _check_args(kind, p, q)
     orders = p.component_orders
     if kind in ("hom", "strict"):
-        return prod(sum(mask.bit_count() for _, mask in _search(kind, p, q, order))
-                    for order in orders)
-    return sum(mask.bit_count() for _, mask in _search(kind, p, q, sum(orders, ())))
+        # a map is one map per component; none on one component means none
+        total = 1
+        for order in orders:
+            count = 0
+            for _, mask in _search(kind, p, q, order):
+                count += mask.bit_count()
+            if not count:
+                return 0
+            total *= count
+        return total
+    count = 0
+    for _, mask in _search(kind, p, q, sum(orders, ())):
+        count += mask.bit_count()
+    return count
 
 
 def brute_force_count(kind: str, p: Poset, q: Poset, ceiling: int | None = None) -> int:

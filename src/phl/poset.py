@@ -69,7 +69,7 @@ class Poset:
         self._down = tuple(down_rows(up_rows))
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._hash = hash((labels, up_rows))
-        self._plans = {}  # map-search constraint plans by search order, kept by homs
+        self._plans = {}  # map-search plans by (search order, kind class), kept by homs
 
     # -- lookups ---------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -83,6 +85,30 @@ def test_lt_rows_match_the_definition():
                 assert system.lt(i, j) == (
                     (b.down >> a.anchor) & 1 == 1 and (a.up >> b.anchor) & 1 == 1
                 )
+
+
+def test_systems_compare_by_base_and_points(n_poset, c3):
+    system, twin = build_ev(n_poset), build_ev(n_poset)
+    assert system is not twin and system == twin and hash(system) == hash(twin)
+    assert EVMap.identity(system) == EVMap.identity(twin)
+    assert hash(EVMap.identity(system)) == hash(EVMap.identity(twin))
+    assert system != build_ev(c3) and EVMap.identity(system) != EVMap.identity(build_ev(c3))
+    assert system.__eq__(n_poset) is NotImplemented
+    # the same points over a relabelled base are a different system
+    relabelled = build_ev(from_pairs("wxyz", [("w", "y"), ("x", "y"), ("x", "z")]))
+    assert relabelled.elements == system.elements and relabelled != system
+
+
+def test_systems_and_maps_survive_pickle_and_deepcopy(n_poset, c3):
+    system = build_ev(n_poset)
+    embed = EVMap.pushforward(build_ev(c3), build_ev(c3), HomMap(c3, c3, (0, 1, 2)))
+    for value in (system, EVMap.identity(system), embed):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert clone is not value and clone == value and hash(clone) == hash(value)
+    clone = pickle.loads(pickle.dumps(system))
+    assert clone._lt_rows == system._lt_rows
+    assert all(clone.lt(a, b) == system.lt(a, b)
+               for a in system.elements for b in system.elements)
 
 
 def test_sum_decomposes_with_no_cross_relation(c2, c3):

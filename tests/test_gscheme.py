@@ -296,6 +296,28 @@ def test_certificate_mismatched_distributor_raises():
         verify_certificate(replace(cert, distributors=dists), 4)
 
 
+def test_repeated_scans_keep_one_plan_per_order_and_kind_class():
+    """The map-search plans a scan leaves on the class representatives are
+    bounded: one per (search order, kind class), and a second scan over the
+    same pair reads them without adding any."""
+    r = direct_sum(catalog("C", 2), catalog("A", 1))
+    s = direct_sum(r, catalog("A", 1))
+    classes = list(enumerate_connected(5))
+    assert bounded_gle_check(r, s, 5).holds
+    after_first = [dict(p._plans) for p in classes]
+    assert bounded_gle_check(r, s, 5).holds
+    for p, plans in zip(classes, after_first):
+        assert p._plans == plans
+        assert all(p._plans[key] is plan for key, plan in plans.items())
+        keys = [(tuple(order), codes) for order, codes in p._plans]
+        assert len(set(keys)) == len(keys)
+        assert all(sorted(order) == list(range(p.n)) and codes in (2, 3) for order, codes in keys)
+        # every class is counted (strict) into some component of r and s
+        # as long as its longest chain fits
+        if p.longest_chain <= 2:
+            assert (p.component_orders[0], 2) in p._plans
+
+
 def test_witness_search(c2, c3, v3):
     with pytest.raises(InvalidParameter):
         witness_search(c3, c3)

@@ -200,6 +200,48 @@ def test_map_tuples_match_enumeration_on_random_pairs():
         assert_map_tuples_match("aut", p, p)
 
 
+def test_kinds_taking_turns_on_one_domain_match_the_oracle():
+    """Each domain object keeps a search plan per order and kind class (emb
+    and aut also constrain apart pairs), so kinds of both classes take turns
+    on it, in two orders, and every count is checked against the oracle.
+    The maps are then streamed from the plans the counts left behind."""
+    rng = random.Random(15)
+    turns = ("strict", "emb", "hom", "aut", "strict_onto")
+    # several components, one without a strict map into the chains below:
+    # count_maps stops at that component, which may come first or last
+    domains = [direct_sum(catalog("C", 3), catalog("A", 1)),
+               direct_sum(catalog("A", 1), catalog("C", 3)),
+               direct_sum(catalog("V", 3), catalog("C", 3)),
+               direct_sum(catalog("N"), catalog("C", 2))]
+    codomains = [catalog("C", 2), catalog("C", 3), direct_sum(catalog("C", 2), catalog("A", 1))]
+    assert count_maps("strict", domains[1], codomains[0]) == 0
+    assert count_maps("strict", domains[2], codomains[0]) == 0
+    domains += [random_poset(rng, rng.randint(1, 6), rng.choice([0.1, 0.3, 0.6]))
+                for _ in range(30)]
+    codomains += [random_poset(rng, rng.randint(1, 4), rng.choice([0.1, 0.3, 0.6]))
+                  for _ in range(6)]
+    assert sum(len(p.component_orders) > 1 for p in domains) >= 8
+    oracle = {}
+    for p in domains:
+        for q in rng.sample(codomains, 2):
+            for kinds in (turns, turns[::-1]):
+                for kind in kinds:
+                    target = p if kind == "aut" else q
+                    key = kind, p, target
+                    if key not in oracle:
+                        oracle[key] = brute_force_count(kind, p, target)
+                    assert count_maps(kind, p, target) == oracle[key], kind
+        assert {codes for _, codes in p._plans} == {2, 3}
+        if p.n == 6:
+            continue  # the filtered product below is slow at this size
+        for kind in turns:
+            target = p if kind == "aut" else q
+            expected = [f for f in itertools.product(range(target.n), repeat=p.n)
+                        if satisfies(kind, p, target, f)]
+            assert sorted(map_tuples(kind, p, target)) == expected
+            assert [m.map for m in enumerate_maps(kind, p, target)] == expected
+
+
 def test_map_tuples_checks_its_arguments(c2):
     with pytest.raises(InvalidParameter):
         list(map_tuples("epi", c2, c2))

@@ -139,9 +139,9 @@ def test_record_is_frozen_as_its_twin(cls):
 def test_record_pickles_and_copies(cls):
     rec = cls(*sample_values(cls)[0])
     assert copy.copy(rec) == rec
-    # EVSystem compares by identity, so only copies that share it compare equal
     for clone in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
-        assert type(clone) is cls and repr(clone) == repr(rec)
+        assert type(clone) is cls and clone == rec and hash(clone) == hash(rec)
+        assert repr(clone) == repr(rec)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
