@@ -34,11 +34,11 @@ from ._bits import bits, down_rows, heights
 from .poset import Poset, is_connected
 
 __all__ = [
-    "IsoClassTable",
     "canonical_form",
     "canonicalize",
     "is_isomorphic",
     "all_isomorphisms",
+    "iso_classes",
     "enumerate_posets",
     "enumerate_connected",
 ]
@@ -223,28 +223,23 @@ def all_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
             yield perm
 
 
-class IsoClassTable:
+def iso_classes(relations: Iterable[Sequence[int]]) -> dict[bytes, Poset]:
     """Isomorphism classes of the given relations, in (size, code) order.
 
-    Each relation, a sequence of up-rows, is coded once, and each class
-    is kept as its canonical representative.  Byte 0 of a code is the
-    size, so code order is (size, code) order.  It serves relations
-    that come from outside class generation, such as the connected
-    induced subposets of embeddable_connected.
+    Each relation, a sequence of up-rows, is coded once, and each class's
+    code maps to its canonical representative.  It serves relations that
+    come from outside class generation, such as the connected induced
+    subposets of lovasz.embeddable_connected.
     """
+    return _class_table(map(_canonical, relations))
 
-    __slots__ = ("codes", "posets")
 
-    def __init__(self, relations: Iterable[Sequence[int]]):
-        found: dict[bytes, list[int]] = {}
-        for up in relations:
-            code, rows = _canonical(up)
-            found.setdefault(code, rows)
-        self.codes = tuple(sorted(found))
-        self.posets = tuple(_relabelled(found[c]) for c in self.codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
+def _class_table(coded: Iterable[tuple[bytes, list[int]]]) -> dict[bytes, Poset]:
+    """The first rows per code, relabelled, in code order: byte 0 is the size."""
+    found: dict[bytes, list[int]] = {}
+    for code, rows in coded:
+        found.setdefault(code, rows)
+    return {c: _relabelled(found[c]) for c in sorted(found)}
 
 
 @cache
@@ -252,11 +247,7 @@ def _classes_of_size(n: int) -> tuple[Poset, ...]:
     """All isomorphism classes of size n as canonical representatives."""
     if n == 0:
         return (Poset((), ()),)
-    found: dict[bytes, list[int]] = {}
-    for up, cls in _extensions(n):
-        code, rows = _canonical(up, cls)
-        found.setdefault(code, rows)
-    return tuple(_relabelled(found[c]) for c in sorted(found))
+    return tuple(_class_table(_canonical(up, cls) for up, cls in _extensions(n)).values())
 
 
 @cache

@@ -155,7 +155,7 @@ def cmd_matrix(args) -> int:
 
     targets = [_poset_arg(t) for t in args.targets]
     names = [_target_name(t) for t in args.targets]
-    rows = embeddable_connected(*targets).posets
+    rows = embeddable_connected(*targets).values()
     mats = factor_matrices(rows, targets, target_names=names)
     render = (lambda m: m.to_csv()) if args.format == "csv" else (lambda m: m.to_pretty())
     print("# strict-surjection orbits")

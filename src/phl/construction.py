@@ -242,7 +242,7 @@ def graft_pipeline(spec: ConstructionSpec, n_max: int | None = None) -> GraftRep
     summed = direct_sum(spec.p, spec.q)
     extended = result.extended
     rows = []
-    for rep in embeddable_connected(summed).posets:
+    for rep in embeddable_connected(summed).values():
         c_sum = count_maps("emb", rep, summed)
         c_graft = count_maps("emb", rep, extended)
         rows.append(EmbRow(display_name(rep), c_sum, c_graft))

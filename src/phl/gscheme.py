@@ -335,7 +335,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
         codes = [canonical_form(p) for p in posets]
         if len(set(codes)) != len(codes):
             return _failed(n_max, f"hypothesis (i): {side} classes repeat")
-        if sorted(codes) != list(embeddable_connected(target).codes):
+        if sorted(codes) != list(embeddable_connected(target)):
             return _failed(
                 n_max,
                 f"hypothesis (i): {side} classes differ from the classes "

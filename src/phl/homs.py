@@ -173,6 +173,10 @@ class HomMap:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt, not copied: the hash depends on the process's string hashing
+        return HomMap, (self.dom, self.cod, self.map)
+
     def __repr__(self) -> str:
         arrows = ",".join(f"{a}>{b}" for a, b in self.label_map().items())
         return f"HomMap({arrows})"

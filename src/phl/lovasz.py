@@ -15,11 +15,12 @@ column by column; verify_factorization checks a single (P, T) pair.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import config
 from ._bits import bits, mask_of, submasks
 from ._record import record
-from .canonical import IsoClassTable, canonical_form
+from .canonical import canonical_form, iso_classes
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -28,34 +29,35 @@ from .errors import (
     UniverseMismatch,
 )
 from .homs import count_maps
-from .poset import Poset, gamma, is_connected, require_nonempty
+from .poset import Poset, _zigzag, is_connected, require_nonempty
 
 
-def embeddable_connected(*targets: Poset) -> IsoClassTable:
+def embeddable_connected(*targets: Poset) -> MappingProxyType[bytes, Poset]:
     """Classes of connected posets embeddable into at least one target.
 
     Embeddings are exactly isomorphisms onto induced subposets, so the
-    table collects the connected induced subposets of the targets up to
-    isomorphism, as canonical representatives.  A target component of c
-    elements has 2^c subsets to scan; SizeOverflow refuses more than
-    config.DEFAULT_SUBSET_CEILING before any is scanned.
+    read-only table maps the code of each connected induced subposet of
+    a target to its canonical representative, in (size, code) order.  A
+    target component of c elements has 2^c subsets to scan; SizeOverflow
+    refuses more than config.DEFAULT_SUBSET_CEILING before any is scanned.
     """
     require_nonempty(*targets)
     subsets = max(1 << len(order) for t in targets for order in t.component_orders)
     if subsets > config.DEFAULT_SUBSET_CEILING:
         raise SizeOverflow(subsets, config.DEFAULT_SUBSET_CEILING)
-    return _embeddable_table(targets)
+    return MappingProxyType(_embeddable_table(targets))
 
 
 @lru_cache(maxsize=16)
-def _embeddable_table(targets: tuple[Poset, ...]) -> IsoClassTable:
-    # a connected subset lies inside one component of its target
-    return IsoClassTable(
+def _embeddable_table(targets: tuple[Poset, ...]) -> dict[bytes, Poset]:
+    # a connected subset lies in one component and is its low bit's zigzag component
+    return iso_classes(
         [mask_of(k for k, y in enumerate(members) if t.leq(x, y)) for x in members]
         for t in targets
         for component in t.component_orders
-        for members in (tuple(bits(m)) for m in submasks(mask_of(component)) if m)
-        if gamma(t, members, members[0]) == frozenset(members)
+        for m in submasks(mask_of(component))
+        if m and _zigzag(t, m, (m & -m).bit_length() - 1) == m
+        for members in (tuple(bits(m)),)
     )
 
 
@@ -159,12 +161,11 @@ def factor_matrices(
     for p in universe:
         if not is_connected(p):
             raise UniverseMismatch("universe members must be connected")
-    table = embeddable_connected(*targets)
-    needed = dict(zip(table.codes, table.posets))
+    needed = embeddable_connected(*targets)
     have = set(codes)
-    if have != set(needed):
-        missing = sorted(display_name(needed[c]) for c in set(needed) - have)
-        extra_codes = have - set(needed)
+    if have != needed.keys():
+        missing = sorted(display_name(needed[c]) for c in needed.keys() - have)
+        extra_codes = have - needed.keys()
         extra = sorted(
             display_name(p) for p, c in zip(universe, codes) if c in extra_codes
         )
@@ -234,10 +235,9 @@ def verify_factorization(p: Poset, t: Poset) -> FactorizationReport:
     require_nonempty(p, t)
     if not is_connected(p):
         raise InvalidParameter("factorization requires a connected domain")
-    table = embeddable_connected(t)
     terms = []
     total = 0
-    for rep in table.posets:
+    for rep in embeddable_connected(t).values():
         term = FactorizationTerm(
             display_name(rep),
             count_strict_onto_orbits(p, rep),

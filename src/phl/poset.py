@@ -215,6 +215,10 @@ class Poset:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt: the hash follows the process's string hashing; caches stay behind
+        return Poset, (self.labels, self._up)
+
     def __len__(self) -> int:
         return self.n
 
@@ -271,11 +275,6 @@ def from_pairs(labels: Sequence[str], pairs: Iterable[tuple[str, str]], mode: st
     raises NotAPartialOrder naming the violated axiom and a witness.
     """
     labels = tuple(labels)
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabel(lab)
-        seen.add(lab)
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     rows = [1 << i for i in range(n)]

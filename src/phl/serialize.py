@@ -232,7 +232,7 @@ def certificate_from_doc(doc) -> TransportCertificate:
             raise MalformedCertificate("q must be a list")
         q_classes = tuple(_cert_poset(v) for v in doc["q"])
     else:
-        q_classes = embeddable_connected(r).posets
+        q_classes = tuple(embeddable_connected(r).values())
     if not isinstance(doc["qprime"], list):
         raise MalformedCertificate("qprime must be a list")
     qprime = tuple(_cert_poset(v) for v in doc["qprime"])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from phl import canonical
 from phl._bits import bits
 from phl.canonical import (
-    IsoClassTable,
     _canonical,
     _classes_of_size,
     _extensions,
@@ -20,6 +19,7 @@ from phl.canonical import (
     enumerate_connected,
     enumerate_posets,
     is_isomorphic,
+    iso_classes,
 )
 from phl.errors import BoundTooLarge, InvalidParameter
 from phl.poset import Poset, catalog, direct_sum, is_connected
@@ -175,10 +175,10 @@ def test_enumerated_classes_are_canonical_and_distinct():
 def test_class_table_of_shuffled_copies_is_the_enumeration():
     classes = list(enumerate_posets(4))
     copies = [shuffled_copy(p, seed) for seed in range(3) for p in reversed(classes)]
-    table = IsoClassTable(rows(p) for p in copies)
+    table = iso_classes(rows(p) for p in copies)
     assert len(table) == len(classes)
-    assert table.posets == tuple(classes)
-    assert table.codes == tuple(canonical_form(p) for p in classes)
+    assert tuple(table.values()) == tuple(classes)
+    assert tuple(table) == tuple(canonical_form(p) for p in classes)
 
 
 def test_connected_enumeration_is_the_connected_slice():

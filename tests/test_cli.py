@@ -97,13 +97,13 @@ def test_matrix_csv(capsys):
 def test_matrix_builds_the_class_table_once(capsys, monkeypatch):
     from phl import lovasz
 
-    table, builds = lovasz.IsoClassTable, []
+    table, builds = lovasz.iso_classes, []
 
-    def counting_table(posets):
+    def counting_table(relations):
         builds.append(1)
-        return table(posets)
+        return table(relations)
 
-    monkeypatch.setattr(lovasz, "IsoClassTable", counting_table)
+    monkeypatch.setattr(lovasz, "iso_classes", counting_table)
     lovasz._embeddable_table.cache_clear()
     code, _, _ = run(capsys, "matrix", "--targets", "catalog:N", "catalog:A1+C3")
     lovasz._embeddable_table.cache_clear()

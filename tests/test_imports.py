@@ -140,6 +140,7 @@ def cert_file(tmp_path_factory):
         ("check-gle", "--r", "catalog:N", "--s", "catalog:A1+C3", "--bound", "4"),
         ("witness", "--r", "catalog:C3", "--s", "catalog:N", "--bound", "3"),
         ("verify-cert", "--cert", None, "--bound", "4"),
+        ("matrix", "--targets", "catalog:N", "catalog:A1+C3"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from phl.canonical import (
-    IsoClassTable,
     canonical_form,
     canonicalize,
     enumerate_posets,
     is_isomorphic,
+    iso_classes,
 )
 from phl.errors import InvalidParameter, SizeOverflow, UniverseMismatch
 from phl.homs import count_maps
@@ -41,10 +41,10 @@ def brute_embeddable(t):
 
 def test_embeddable_classes_of_worked_targets(n_poset):
     table = embeddable_connected(n_poset)
-    names = [display_name(p) for p in table.posets]
+    names = [display_name(p) for p in table.values()]
     assert names == ["A1", "C2", "V3", "Lambda3", "N"]
     a1c3 = direct_sum(catalog("A", 1), catalog("C", 3))
-    names2 = [display_name(p) for p in embeddable_connected(a1c3).posets]
+    names2 = [display_name(p) for p in embeddable_connected(a1c3).values()]
     assert names2 == ["A1", "C2", "C3"]
 
 
@@ -55,11 +55,11 @@ def test_embeddable_matches_inclusion_scan():
         if t.n == 0:
             continue
         table = embeddable_connected(t)
-        assert set(table.codes) == set(brute_embeddable(t))
+        assert set(table) == set(brute_embeddable(t))
         # table is sorted by (size, code) and deduplicated
-        keys = [(p.n, c) for p, c in zip(table.posets, table.codes)]
+        keys = [(p.n, c) for c, p in table.items()]
         assert keys == sorted(keys)
-        assert len(set(table.codes)) == len(table.codes)
+        assert len(set(table)) == len(table)
 
 
 def test_orbit_counts_divide_exactly(n_poset, v3, c3):
@@ -77,7 +77,7 @@ def test_image_class_count_identity(n_poset):
     # summing #I_Q over the embeddable classes Q recovers the strict count
     for t in (n_poset, direct_sum(catalog("A", 1), catalog("C", 3))):
         table = embeddable_connected(t)
-        total = sum(image_class_count(q, n_poset, t) for q in table.posets)
+        total = sum(image_class_count(q, n_poset, t) for q in table.values())
         assert total == count_maps("strict", n_poset, t)
 
 
@@ -121,7 +121,7 @@ def test_factorization_identity_random_sweep():
 
 
 def test_factor_matrices_validate_universe(n_poset):
-    rows = embeddable_connected(n_poset).posets
+    rows = tuple(embeddable_connected(n_poset).values())
     mats = factor_matrices(list(rows), [n_poset])
     assert mats.strict.cells == tuple(
         (count_maps("strict", p, n_poset),) for p in rows
@@ -181,9 +181,9 @@ def test_embeddable_over_two_targets_is_the_union():
         if t1.n == 0 or t2.n == 0:
             continue
         table = embeddable_connected(t1, t2)
-        union = set(embeddable_connected(t1).codes) | set(embeddable_connected(t2).codes)
-        assert list(table.codes) == sorted(union)
-        for code, rep in zip(table.codes, table.posets):
+        union = set(embeddable_connected(t1)) | set(embeddable_connected(t2))
+        assert list(table) == sorted(union)
+        for code, rep in table.items():
             assert canonicalize(rep) == rep
             assert canonical_form(rep) == code
 
@@ -196,13 +196,31 @@ def test_embeddable_table_matches_the_all_subsets_definition():
         for _ in range(30)
     ]
     for targets in cases:
-        expected = IsoClassTable(
+        expected = iso_classes(
             [sub.up_mask(i) for i in range(sub.n)]
             for t in targets
             for sub in brute_embeddable(t).values()
         )
         table = embeddable_connected(*targets)
-        assert (table.codes, table.posets) == (expected.codes, expected.posets)
+        assert list(table.items()) == list(expected.items())
+
+
+def test_embeddable_table_cannot_be_changed_through_a_result(n_poset):
+    # the tables are cached, so a result a caller changed would be the next call's
+    table = embeddable_connected(n_poset)
+    before = list(table.items())
+    with pytest.raises(TypeError):
+        table[b"\x01\x01"] = n_poset
+    with pytest.raises(TypeError):
+        del table[before[0][0]]
+    with pytest.raises(AttributeError):
+        table.clear()
+    copied = dict(table)
+    copied.clear()
+    assert list(embeddable_connected(n_poset).items()) == before
+    assert [display_name(p) for p in embeddable_connected(n_poset).values()] == [
+        "A1", "C2", "V3", "Lambda3", "N",
+    ]
 
 
 def test_embeddable_refuses_a_component_with_too_many_subsets(monkeypatch):
@@ -217,9 +235,9 @@ def test_embeddable_refuses_a_component_with_too_many_subsets(monkeypatch):
     assert (exc.value.size, exc.value.ceiling) == (2**25, config.DEFAULT_SUBSET_CEILING)
     monkeypatch.undo()
     # the ceiling is per component: 25 one-element components pass
-    assert len(embeddable_connected(catalog("A", 25)).codes) == 1
+    assert len(embeddable_connected(catalog("A", 25))) == 1
     monkeypatch.setattr(config, "DEFAULT_SUBSET_CEILING", 8)
-    assert len(embeddable_connected(catalog("C", 3)).codes) == 3
+    assert len(embeddable_connected(catalog("C", 3))) == 3
     with pytest.raises(SizeOverflow):
         embeddable_connected(catalog("C", 4))
 

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,3 +265,40 @@ def test_depths_are_heights_of_the_dual(p):
 def test_all_catalog_posets_validate():
     for p in catalog_zoo():
         assert p.n >= 1
+
+
+PICKLE_N = """
+import pickle, sys
+from phl.evsystem import build_ev
+from phl.homs import HomMap, count_maps
+from phl.poset import catalog
+p = catalog("N")
+assert count_maps("strict", p, p) == 8 and p._plans
+sys.stdout.buffer.write(pickle.dumps((p, build_ev(p), HomMap(p, catalog("C", 2), (0, 0, 1, 1)))))
+"""
+
+LOAD_N = """
+import json, pickle, sys
+from phl.evsystem import build_ev
+from phl.homs import HomMap
+from phl.poset import catalog
+p, system, m = pickle.loads(sys.stdin.buffer.read())
+q = catalog("N")
+print(json.dumps([
+    p == q, p in {q}, system in {build_ev(q)}, m in {HomMap(q, catalog("C", 2), (0, 0, 1, 1))},
+    p._plans == {}, sorted(p.__dict__),
+]))
+"""
+
+
+def test_pickles_load_under_another_hash_seed():
+    # string hashes differ between the two interpreters, so a hash kept in
+    # the pickle would not find the loaded value among freshly built ones
+    def run(code, seed, data=None):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    loaded = json.loads(run(LOAD_N, "2", run(PICKLE_N, "1")))
+    assert loaded == [True, True, True, True, True, ["_plans"]]
