@@ -30,10 +30,9 @@ _EXPORTS = {
         "DuplicateLabel", "EmptyPoset", "IndexOutOfRange",
         "InternalInvariantViolation", "InvalidParameter",
         "MalformedCertificate", "MalformedDocument", "NoWitnessFound",
-        "NonIntegralQuotient", "NotADistributor", "NotAPartialOrder",
-        "NotAntichain", "NotConvex", "NotIsomorphism", "NotStrict",
-        "NotStrictOnto", "OracleTooLarge", "PhlError", "PreconditionFailed",
-        "ProofObligationFailed", "SizeOverflow", "UniverseMismatch",
+        "NotADistributor", "NotAPartialOrder", "NotAntichain", "NotConvex",
+        "NotIsomorphism", "NotStrict", "NotStrictOnto", "OracleTooLarge",
+        "PhlError", "PreconditionFailed", "SizeOverflow", "UniverseMismatch",
         "UnknownElement", "UnknownLabel",
     ),
     "evsystem": (

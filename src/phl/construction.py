@@ -45,7 +45,6 @@ from .errors import (
     NotAPartialOrder,
     NotConvex,
     NotIsomorphism,
-    ProofObligationFailed,
     UnknownLabel,
 )
 from .evsystem import EVElement, EVMap, build_ev, is_strict_ev_hom
@@ -218,9 +217,8 @@ class EmbRow:
 
 @record
 class GraftReport:
-    """graft_pipeline's verdict, per-class embedding counts and optional scan."""
+    """The graft, per-class embedding counts and the optional scan."""
 
-    ok: bool
     result: GraftResult
     rows: tuple[EmbRow, ...]
     scan: WitnessReport | None
@@ -231,10 +229,10 @@ def graft_pipeline(spec: ConstructionSpec, n_max: int | None = None) -> GraftRep
 
     For every connected class E embeddable in P + Q the embedding count
     into P|A + T must be at least the count into P + Q; this is exact
-    and certifies the comparison on its own.  ProofObligationFailed
-    reports the violating class otherwise (no such class exists -- a
-    failure here means a bug).  The redundant bounded scan runs at
-    n_max, defaulting to the package scan bound; pass 0 to skip it.
+    and certifies the comparison on its own, so a class that violates it
+    is a bug and raises InternalInvariantViolation.  The redundant
+    bounded scan runs at n_max, defaulting to the package scan bound;
+    pass 0 to skip it.
     """
     if n_max is None:
         n_max = config.DEFAULT_SCAN_BOUND
@@ -247,10 +245,9 @@ def graft_pipeline(spec: ConstructionSpec, n_max: int | None = None) -> GraftRep
         c_graft = count_maps("emb", rep, extended)
         rows.append(EmbRow(display_name(rep), c_sum, c_graft))
         if c_sum > c_graft:
-            raise ProofObligationFailed(
+            raise InternalInvariantViolation(
                 f"class {rows[-1].name} embeds {c_sum} times into the sum but "
-                f"{c_graft} into the graft",
-                witness=rep,
+                f"{c_graft} into the graft"
             )
     scan = None
     if n_max:
@@ -259,20 +256,10 @@ def graft_pipeline(spec: ConstructionSpec, n_max: int | None = None) -> GraftRep
             raise InternalInvariantViolation(
                 "exact obligation passed but the redundant scan found a counterexample"
             )
-    return GraftReport(True, result, tuple(rows), scan)
+    return GraftReport(result, tuple(rows), scan)
 
 
-@record
-class ExtensionReport:
-    """antichain_ev_extension's verdict, its two system sizes and a note."""
-
-    ok: bool
-    source_size: int
-    target_size: int
-    note: str
-
-
-def antichain_ev_extension(spec: ConstructionSpec) -> tuple[EVMap, ExtensionReport]:
+def antichain_ev_extension(spec: ConstructionSpec) -> EVMap:
     """Vicinity-level witness for an antichain gluing set.
 
     Builds the point map from the system of P + Q to the system of
@@ -314,11 +301,4 @@ def antichain_ev_extension(spec: ConstructionSpec) -> tuple[EVMap, ExtensionRepo
         raise InternalInvariantViolation("extension is not injective")
     if not is_strict_ev_hom(ev_map):
         raise InternalInvariantViolation("extension is not strict")
-    report = ExtensionReport(
-        True,
-        len(source),
-        len(target),
-        "antichain gluing set: the injective strict system extension "
-        "certifies the scheme-level comparison, beyond the count route",
-    )
-    return ev_map, report
+    return ev_map

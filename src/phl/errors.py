@@ -93,10 +93,6 @@ class PreconditionFailed(PhlError):
     pass
 
 
-class NonIntegralQuotient(PhlError):
-    pass
-
-
 class UniverseMismatch(PhlError):
     pass
 
@@ -146,12 +142,6 @@ class CarriersNotDisjoint(PhlError):
 
 class NotAntichain(PhlError):
     pass
-
-
-class ProofObligationFailed(PhlError):
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InternalInvariantViolation(PhlError):

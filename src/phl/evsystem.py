@@ -114,9 +114,6 @@ class EVSystem:
         j = b if isinstance(b, int) else self.position(b)
         return bool((self._lt_rows[i] >> j) & 1)
 
-    def fiber(self, x: int) -> tuple[EVElement, ...]:
-        return tuple(e for e in self.elements if e.anchor == x)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EVSystem):
             return NotImplemented
@@ -168,20 +165,7 @@ def ev_at(system: EVSystem, x) -> tuple[EVElement, ...]:
         x = system.base.index(x)
     if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < system.base.n):
         raise IndexOutOfRange(f"anchor {x!r} outside base carrier")
-    return system.fiber(x)
-
-
-@record
-class EVProfile:
-    """The vicinity profile of a strict map: per-element (image, image of
-    strict down-set, image of strict up-set), valued over the codomain."""
-
-    dom: Poset
-    cod: Poset
-    triples: tuple[EVElement, ...]
-
-    def __getitem__(self, x: int) -> EVElement:
-        return self.triples[x]
+    return tuple(e for e in system.elements if e.anchor == x)
 
 
 def _profile(p: Poset, q: Poset, f) -> tuple[EVElement, ...]:
@@ -195,8 +179,10 @@ def _profile(p: Poset, q: Poset, f) -> tuple[EVElement, ...]:
     return triples
 
 
-def ev_profile(xi: HomMap) -> EVProfile:
-    """Profile of a strict map; raises NotStrict otherwise."""
+def ev_profile(xi: HomMap) -> tuple[EVElement, ...]:
+    """Profile of a strict map: per element x, the codomain point
+    (xi x, xi of the strict down-set, xi of the strict up-set); raises
+    NotStrict otherwise."""
     if not xi.is_strict:
         raise NotStrict("profiles are defined for strict maps")
     p, q = xi.dom, xi.cod
@@ -206,7 +192,7 @@ def ev_profile(xi: HomMap) -> EVProfile:
             a, b = triples[x], triples[y]
             if not ((b.down >> a.anchor) & 1 and (a.up >> b.anchor) & 1):
                 raise InternalInvariantViolation("profile of a strict map is not <+-strict")
-    return EVProfile(p, q, triples)
+    return triples
 
 
 @record
@@ -271,13 +257,16 @@ class EVSchemeViolation:
 
 @record
 class EVSchemeReport:
-    """check_ev_scheme's verdict, work done and violations found."""
+    """check_ev_scheme's work done and violations found."""
 
-    ok: bool
     bound: int
     posets_checked: int
     maps_checked: int
     violations: tuple[EVSchemeViolation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def check_ev_scheme(
@@ -312,7 +301,11 @@ def check_ev_scheme(
 
     z_idx = set()
     for z in z_plus:
-        z_idx.add(r.index(z) if isinstance(z, str) else int(z))
+        if isinstance(z, str):
+            z = r.index(z)
+        elif not isinstance(z, int) or isinstance(z, bool):
+            raise InvalidParameter(f"z_plus elements must be labels or indices, got {z!r}")
+        z_idx.add(z)
     for v in z_idx:
         if not (0 <= v < r.n):
             raise IndexOutOfRange(f"z_plus element {v} outside carrier")
@@ -382,7 +375,6 @@ def check_ev_scheme(
                 f"{count} strict maps transported to {len(etas)} images",
             ))
     return EVSchemeReport(
-        ok=not violations,
         bound=n_max,
         posets_checked=posets_checked,
         maps_checked=maps_checked,

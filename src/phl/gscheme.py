@@ -52,7 +52,7 @@ from .errors import (
     NotADistributor,
     NotStrictOnto,
 )
-from .homs import HomMap, count_maps, map_tuples
+from .homs import HomMap, count_maps, enumerate_maps, map_tuples
 from .lovasz import display_name, embeddable_connected
 from .poset import Poset, require_nonempty
 
@@ -115,7 +115,7 @@ def check_distributing(tau: HomMap) -> str:
     from .evsystem import ev_profile
 
     prof = ev_profile(tau)
-    if len(set(prof.triples)) < tau.dom.n:
+    if len(set(prof)) < tau.dom.n:
         return "inconclusive"
     f = tau.map
     n = tau.dom.n
@@ -132,7 +132,7 @@ def check_distributing(tau: HomMap) -> str:
 def suggest_distributing(q: Poset, qprime: Poset) -> list[HomMap]:
     """Experimental scan: strict surjections q -> qprime that prove
     distributing.  Absence from the list does not refute a candidate."""
-    maps = (HomMap(q, qprime, sol) for sol in sorted(map_tuples("strict_onto", q, qprime)))
+    maps = enumerate_maps("strict_onto", q, qprime)
     return [m for m in maps if check_distributing(m) == "proved"]
 
 

@@ -119,12 +119,14 @@ class HomMap:
                  "_is_embedding", "_is_automorphism", "_hash")
 
     def __init__(self, dom: Poset, cod: Poset, mapping):
-        mapping = tuple(int(v) for v in mapping)
+        mapping = tuple(mapping)
         if len(mapping) != dom.n:
             raise DomainMismatch(
                 f"map has {len(mapping)} entries for a domain of size {dom.n}"
             )
         for v in mapping:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InvalidParameter(f"map values must be integers, got {v!r}")
             if not (0 <= v < cod.n):
                 raise IndexOutOfRange(f"value {v} outside codomain of size {cod.n}")
         self.dom = dom
@@ -355,22 +357,16 @@ def pointwise_leq(f: HomMap, g: HomMap) -> bool:
 
 # -- zigzag blocks and the quotient factorization --------------------------
 
-@record
-class GammaBlock:
-    """The zigzag component of anchor inside its own fiber."""
-
-    anchor: int
-    members: frozenset[int]
-
-
-def gamma_block(xi: HomMap, x: int) -> GammaBlock:
+def gamma_block(xi: HomMap, x: int) -> frozenset[int]:
     """Zigzag component of x inside its own fiber."""
     if not xi.is_hom:
         raise InvalidParameter("gamma blocks are defined for homomorphisms")
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidParameter(f"element must be an integer, got {x!r}")
     if not (0 <= x < xi.dom.n):
         raise IndexOutOfRange(f"element {x} outside domain")
     fiber = [y for y in range(xi.dom.n) if xi.map[y] == xi.map[x]]
-    return GammaBlock(x, gamma(xi.dom, fiber, x))
+    return gamma(xi.dom, fiber, x)
 
 
 @record

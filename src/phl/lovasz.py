@@ -24,7 +24,6 @@ from .canonical import canonical_form, iso_classes
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
-    NonIntegralQuotient,
     SizeOverflow,
     UniverseMismatch,
 )
@@ -67,7 +66,7 @@ def count_strict_onto_orbits(p: Poset, q: Poset) -> int:
     onto = count_maps("strict_onto", p, q)
     auts = count_maps("aut", q, q)
     if onto % auts:
-        raise NonIntegralQuotient(
+        raise InternalInvariantViolation(
             f"{onto} strict surjections not divisible by {auts} automorphisms"
         )
     return onto // auts
@@ -222,11 +221,9 @@ class FactorizationTerm:
 
 @record
 class FactorizationReport:
-    """#strict(p, t) against the sum of its factorization terms."""
+    """#strict(p, t), which equals the sum of its factorization terms."""
 
-    ok: bool
     strict_total: int
-    factored_total: int
     terms: tuple[FactorizationTerm, ...]
 
 
@@ -250,4 +247,4 @@ def verify_factorization(p: Poset, t: Poset) -> FactorizationReport:
         raise InternalInvariantViolation(
             f"factorization identity fails: {total} != {strict_total}"
         )
-    return FactorizationReport(True, strict_total, total, tuple(terms))
+    return FactorizationReport(strict_total, tuple(terms))

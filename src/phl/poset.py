@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._bits import bits, down_rows, heights, mask_of
-from ._record import record
 from .errors import (
     DuplicateLabel,
     EmptyPoset,
@@ -47,7 +46,7 @@ class Poset:
 
     def __init__(self, labels: Sequence[str], up_rows: Sequence[int]):
         labels = tuple(labels)
-        up_rows = tuple(int(r) for r in up_rows)
+        up_rows = tuple(up_rows)
         if len(labels) != len(up_rows):
             raise InvalidParameter("labels and relation rows differ in length")
         seen = set()
@@ -60,6 +59,8 @@ class Poset:
         n = len(labels)
         full = (1 << n) - 1
         for row in up_rows:
+            if not isinstance(row, int) or isinstance(row, bool):
+                raise InvalidParameter(f"relation rows must be integers, got {row!r}")
             if row & ~full:
                 raise IndexOutOfRange("relation row references elements outside the carrier")
         _validate_axioms(labels, up_rows)
@@ -447,21 +448,6 @@ def _zigzag(p: Poset, inside: int, x: int) -> int:
         seen |= nbrs
         frontier.extend(bits(nbrs))
     return seen
-
-
-@record
-class Partition:
-    """Disjoint nonempty index blocks covering a carrier."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def components(p: Poset) -> Partition:
-    """Zigzag components of the whole carrier, ordered by least element."""
-    return Partition(tuple(frozenset(order) for order in p.component_orders))
 
 
 def is_connected(p: Poset) -> bool:

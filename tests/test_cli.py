@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+from phl import construction, lovasz
 from phl.cli import main
 from phl.errors import InternalInvariantViolation
-from phl.examples import zigzag_to_chain_certificate
-from phl.poset import catalog
+from phl.examples import chain_graft_spec, zigzag_to_chain_certificate
+from phl.poset import catalog, direct_sum
 from phl.serialize import certificate_to_doc, poset_from_doc
 
 
@@ -210,16 +211,19 @@ def test_witness_isomorphic_inputs_exit_2(capsys):
     assert "InvalidParameter" in err
 
 
+# the document of examples.chain_graft_spec
+CHAIN_SPEC = {
+    "P": {"labels": ["p0", "p1"], "pairs": [["p0", "p1"]]},
+    "Q": {"labels": ["q0", "q1"], "pairs": [["q0", "q1"]]},
+    "A": ["p1"],
+    "B": ["q0"],
+    "beta": {"p1": "q0"},
+}
+
+
 def test_construct_sum(capsys, tmp_path):
-    spec = {
-        "P": {"labels": ["p0", "p1"], "pairs": [["p0", "p1"]]},
-        "Q": {"labels": ["q0", "q1"], "pairs": [["q0", "q1"]]},
-        "A": ["p1"],
-        "B": ["q0"],
-        "beta": {"p1": "q0"},
-    }
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(CHAIN_SPEC))
     out_path = tmp_path / "t.json"
     code, out, _ = run(
         capsys,
@@ -337,6 +341,39 @@ def test_internal_invariant_violation_exits_4(capsys, monkeypatch, target, argv)
     assert "InternalInvariantViolation" in err
     assert "broken on purpose" in err
     assert "bug in phl" in err
+
+
+def test_orbit_count_with_a_remainder_is_a_bug(capsys, monkeypatch):
+    # Aut(Q) acts freely on the strict surjections onto Q, so only a wrong
+    # count (here one automorphism too many) leaves a remainder
+    real = lovasz.count_maps
+    monkeypatch.setattr(
+        lovasz, "count_maps", lambda kind, p, q: real(kind, p, q) + (1 if kind == "aut" else 0)
+    )
+    with pytest.raises(InternalInvariantViolation, match="not divisible"):
+        lovasz.count_strict_onto_orbits(catalog("A", 1), catalog("A", 1))
+    code, _, err = run(capsys, "matrix", "--targets", "catalog:N")
+    assert code == 4
+    assert "not divisible" in err and "bug in phl" in err
+
+
+def test_failed_graft_obligation_is_a_bug(capsys, monkeypatch, tmp_path):
+    # every class embeds into the graft at least as often as into the sum,
+    # so only a wrong count (here one embedding too many into the sum) fails
+    spec = chain_graft_spec()
+    summed = direct_sum(spec.p, spec.q)
+    real = construction.count_maps
+    monkeypatch.setattr(
+        construction, "count_maps", lambda kind, p, q: real(kind, p, q) + (1 if q == summed else 0)
+    )
+    with pytest.raises(InternalInvariantViolation, match="into the graft"):
+        construction.graft_pipeline(spec, 0)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(CHAIN_SPEC))
+    code, out, err = run(capsys, "construct-sum", "--spec", str(spec_path))
+    assert code == 4
+    assert out == ""
+    assert "class A1 embeds 5 times into the sum but 4 into the graft" in err and "bug in phl" in err
 
 
 @pytest.mark.parametrize("ref", ["catalog:A12", "catalog:V12", "catalog:Lambda12"])

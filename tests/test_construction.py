@@ -20,7 +20,7 @@ from phl.errors import (
     NotIsomorphism,
     UnknownLabel,
 )
-from phl.evsystem import build_ev
+from phl.evsystem import build_ev, is_strict_ev_hom
 from phl.examples import chain_graft_spec
 from phl.homs import count_maps
 from phl.poset import Poset, catalog, direct_sum, induced
@@ -167,7 +167,7 @@ def test_empty_gluing_set_gives_the_plain_sum():
 
 def test_pipeline_counts_and_scan():
     report = graft_pipeline(chain_graft_spec(), 4)
-    assert report.ok
+    assert report.result == build_graft(chain_graft_spec())
     by_name = {row.name: (row.count_sum, row.count_graft) for row in report.rows}
     assert by_name == {"A1": (4, 4), "C2": (2, 3)}
     assert report.scan is not None and report.scan.holds
@@ -175,15 +175,15 @@ def test_pipeline_counts_and_scan():
 
 def test_pipeline_scan_skippable():
     report = graft_pipeline(chain_graft_spec(), 0)
-    assert report.ok
+    assert report.rows == graft_pipeline(chain_graft_spec(), 4).rows
     assert report.scan is None
 
 
 def test_antichain_extension_on_chain_graft():
-    ev_map, report = antichain_ev_extension(chain_graft_spec())
-    assert report.ok
-    assert (report.source_size, report.target_size) == (8, 13)
+    ev_map = antichain_ev_extension(chain_graft_spec())
+    assert (len(ev_map.source), len(ev_map.target)) == (8, 13)
     assert len(set(ev_map.mapping)) == len(ev_map.mapping)
+    assert is_strict_ev_hom(ev_map)
 
 
 def antichain_specs():
@@ -199,7 +199,7 @@ def antichain_specs():
 
 def test_antichain_extension_fixes_q_and_bare_a_points():
     for spec in antichain_specs():
-        ev_map, _ = antichain_ev_extension(spec)
+        ev_map = antichain_ev_extension(spec)
         summed = direct_sum(spec.p, spec.q)
         result = build_graft(spec)
         extended, psi = result.extended, result.psi.map
@@ -246,8 +246,9 @@ def test_point_onto_point_graft(v3):
     for row in report.rows:
         assert row.count_sum <= row.count_graft
     assert count_maps("emb", spec.p, result.extended) >= 1
-    ev_map, ext = antichain_ev_extension(spec)
-    assert ext.source_size == len(build_ev(summed))
+    ev_map = antichain_ev_extension(spec)
+    assert ev_map.source == build_ev(summed)
+    assert ev_map.target == build_ev(result.extended)
 
 
 def test_random_specs_build_and_compare():
@@ -255,12 +256,12 @@ def test_random_specs_build_and_compare():
     for _ in range(40):
         spec = random_construction_spec(rng, max_p=4, max_q=3)
         report = graft_pipeline(spec, 0)
-        assert report.ok
         for row in report.rows:
             assert row.count_sum <= row.count_graft
         if spec.a and spec.p.is_antichain(spec.a):
-            _, ext = antichain_ev_extension(spec)
-            assert ext.ok
+            ev_map = antichain_ev_extension(spec)
+            assert len(set(ev_map.mapping)) == len(ev_map.mapping)
+            assert is_strict_ev_hom(ev_map)
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,9 @@ from phl.errors import (
     EmptyPoset,
     InvalidParameter,
     OracleTooLarge,
+    UnknownLabel,
 )
+from phl.evsystem import EVMap, build_ev, check_ev_scheme
 from phl.homs import (
     KINDS,
     HomMap,
@@ -29,7 +31,7 @@ from phl.homs import (
     tuple_is_strict,
 )
 from phl.canonical import enumerate_posets
-from phl.poset import catalog, direct_sum, from_pairs
+from phl.poset import Poset, catalog, direct_sum, from_pairs
 from phl.randgen import random_poset
 
 from conftest import nonempty_posets
@@ -277,9 +279,32 @@ def test_pointwise_order(c2, c3):
 def test_gamma_blocks_of_nonstrict_map(n_poset, c2):
     # collapse a,c,b to 0 and d to 1: fiber {a,b,c} is one zigzag block
     xi = HomMap.from_labels(n_poset, c2, {"a": "0", "b": "0", "c": "0", "d": "1"})
-    blk = gamma_block(xi, 0)
-    assert blk.members == frozenset({0, 1, 2})
-    assert gamma_block(xi, 3).members == frozenset({3})
+    assert gamma_block(xi, 0) == frozenset({0, 1, 2})
+    assert gamma_block(xi, 3) == frozenset({3})
+
+
+def test_integer_inputs_are_checked_not_coerced(n_poset, c2, c3):
+    xi = HomMap(c2, c3, (0, 2))
+    assert Poset(("x", "y"), (0b11, 0b10)).n == 2
+    ident = EVMap.identity(build_ev(c2))
+    assert check_ev_scheme(ident, c2, c2, [0], 2).ok
+    for bad in (0.0, 0.9, "0", True, False):
+        with pytest.raises(InvalidParameter):
+            HomMap(c2, c3, (bad, 2))
+        with pytest.raises(InvalidParameter):
+            gamma_block(xi, bad)
+        with pytest.raises(InvalidParameter):
+            Poset(("x", "y"), (bad, 0b10))
+        if isinstance(bad, str):
+            continue
+        with pytest.raises(InvalidParameter):
+            check_ev_scheme(ident, c2, c2, [bad], 2)
+    # z_plus takes strings as labels, so a numeric string is one only where
+    # the poset has it: "0" names an element of C2 but not of N
+    assert check_ev_scheme(ident, c2, c2, ["0"], 2).ok
+    n_ident = EVMap.identity(build_ev(n_poset))
+    with pytest.raises(UnknownLabel):
+        check_ev_scheme(n_ident, n_poset, n_poset, ["a", "b", "c", "0"], 2)
 
 
 def test_quotient_factorization_recomposes(n_poset, c2):

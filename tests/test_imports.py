@@ -56,6 +56,30 @@ def test_every_export_resolves():
     assert set(phl.__all__) <= set(dir(phl))
 
 
+def test_exports_are_pinned():
+    # a name enters or leaves the package surface only by editing this list
+    assert phl.__all__ == [
+        "BoundTooLarge", "CarriersNotDisjoint", "ConstructionSpec", "DistributorSpec",
+        "DomainMismatch", "DuplicateLabel", "EVElement", "EVMap", "EVSystem",
+        "EmptyPoset", "GraftResult", "HomMap", "IndexOutOfRange",
+        "InternalInvariantViolation", "InvalidParameter", "MalformedCertificate",
+        "MalformedDocument", "NoWitnessFound", "NotADistributor", "NotAPartialOrder",
+        "NotAntichain", "NotConvex", "NotIsomorphism", "NotStrict", "NotStrictOnto",
+        "OracleTooLarge", "PhlError", "Poset", "PreconditionFailed", "SizeOverflow",
+        "TransportCertificate", "UniverseMismatch", "UnknownElement", "UnknownLabel",
+        "antichain_ev_extension", "bounded_gle_check", "brute_force_count", "build_ev",
+        "build_graft", "canonical_form", "canonicalize", "certificate_from_doc",
+        "certificate_to_doc", "check_distributing", "check_distributor",
+        "check_ev_scheme", "count_maps", "count_strict_onto_orbits",
+        "embeddable_connected", "enumerate_connected", "enumerate_maps",
+        "enumerate_posets", "ev_at", "ev_profile", "ev_size", "factor_matrices",
+        "gamma_class_count", "graft_pipeline", "image_class_count", "is_isomorphic",
+        "is_strict_ev_hom", "map_tuples", "parse_catalog_ref", "pointwise_leq",
+        "poset_from_doc", "poset_to_doc", "quotient", "suggest_distributing",
+        "verify_certificate", "verify_factorization", "witness_search",
+    ]
+
+
 def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from phl import *", namespace)

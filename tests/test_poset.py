@@ -18,7 +18,6 @@ from phl.errors import (
 from phl.poset import (
     Poset,
     catalog,
-    components,
     direct_sum,
     from_pairs,
     gamma,
@@ -180,9 +179,9 @@ def test_gamma_component(n_poset):
 
 def test_components_and_connectivity(c2):
     s = direct_sum(c2, c2)
-    part = components(s)
-    assert len(part) == 2
-    assert part.blocks[0] == frozenset({0, 1})
+    orders = s.component_orders
+    assert len(orders) == 2
+    assert frozenset(orders[0]) == frozenset({0, 1})
     assert is_connected(c2)
     assert not is_connected(s)
     assert not is_connected(from_pairs([], []))
@@ -197,7 +196,7 @@ def test_components_match_gamma_scan(p):
         block = gamma(p, range(p.n), min(left))
         blocks.append(block)
         left -= block
-    assert components(p).blocks == tuple(blocks)
+    assert tuple(map(frozenset, p.component_orders)) == tuple(blocks)
     assert is_connected(p) == (len(blocks) == 1)
 
 
@@ -205,7 +204,7 @@ def test_components_match_gamma_scan(p):
 @settings(max_examples=80, deadline=None)
 def test_component_posets_are_the_induced_components(p):
     parts = p.component_posets
-    assert parts == tuple(induced(p, sorted(block)) for block in components(p).blocks)
+    assert parts == tuple(induced(p, sorted(order)) for order in p.component_orders)
     assert all(is_connected(c) for c in parts)
     assert p.component_posets is parts
 

@@ -70,12 +70,11 @@ def sample_values(cls) -> tuple[tuple, tuple]:
 
 def test_every_record_is_found():
     assert [cls.__name__ for cls in RECORDS] == [
-        "ConstructionSpec", "EmbRow", "ExtensionReport", "GraftReport", "GraftResult",
-        "RelationParts", "EVElement", "EVMap", "EVProfile", "EVSchemeReport",
-        "EVSchemeViolation", "CertificateReport", "DistributorReport", "DistributorSpec",
-        "InequalityInstance", "TransportCertificate", "WitnessReport", "GammaBlock",
-        "QuotientFactorization", "CountMatrix", "FactorMatrices", "FactorizationReport",
-        "FactorizationTerm", "Partition",
+        "ConstructionSpec", "EmbRow", "GraftReport", "GraftResult", "RelationParts",
+        "EVElement", "EVMap", "EVSchemeReport", "EVSchemeViolation", "CertificateReport",
+        "DistributorReport", "DistributorSpec", "InequalityInstance", "TransportCertificate",
+        "WitnessReport", "QuotientFactorization", "CountMatrix", "FactorMatrices",
+        "FactorizationReport", "FactorizationTerm",
     ]
 
 
