@@ -45,13 +45,12 @@ from .errors import (
     NotAPartialOrder,
     NotConvex,
     NotIsomorphism,
-    UnknownLabel,
 )
 from .evsystem import EVElement, EVMap, build_ev, is_strict_ev_hom
 from .gscheme import WitnessReport, bounded_gle_check
 from .homs import HomMap, count_maps
 from .lovasz import display_name, embeddable_connected
-from .poset import Poset, _convexity_witness, direct_sum, induced
+from .poset import Poset, _convexity_witness, direct_sum, induced, require_indices
 
 
 @record
@@ -122,19 +121,15 @@ def _validate_spec(spec: ConstructionSpec) -> dict[int, int]:
         raise CarriersNotDisjoint(
             "carriers share labels; build the spec with from_labels to namespace them"
         )
-    a = sorted(spec.a)
-    b = sorted(spec.b)
-    for i in a:
-        if not (0 <= i < p.n):
-            raise UnknownLabel(f"index {i} outside the first carrier")
-    for i in b:
-        if not (0 <= i < q.n):
-            raise UnknownLabel(f"index {i} outside the second carrier")
+    a = sorted(require_indices(spec.a, p.n, "A index"))
+    b = sorted(require_indices(spec.b, q.n, "B index"))
     for which, poset, idx in (("A", p, a), ("B", q, b)):
         witness = _convexity_witness(poset, idx)
         if witness:
             raise NotConvex(which, tuple(poset.labels[i] for i in witness))
     beta = dict(spec.beta)
+    require_indices(beta, p.n, "beta key")
+    require_indices(beta.values(), q.n, "beta value")
     if sorted(beta) != a or sorted(set(beta.values())) != b or len(beta) != len(spec.a):
         raise NotIsomorphism("beta must be a bijection from A onto B")
     for x in a:

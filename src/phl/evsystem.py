@@ -33,7 +33,6 @@ from ._record import record
 from .canonical import enumerate_connected
 from .errors import (
     EmptyPoset,
-    IndexOutOfRange,
     InternalInvariantViolation,
     InvalidParameter,
     NotStrict,
@@ -42,7 +41,7 @@ from .errors import (
     UnknownElement,
 )
 from .homs import HomMap, map_tuples
-from .poset import Poset
+from .poset import Poset, require_indices
 
 
 @record
@@ -110,8 +109,10 @@ class EVSystem:
 
     def lt(self, a, b) -> bool:
         """The <+ relation; accepts positions or the points themselves."""
-        i = a if isinstance(a, int) else self.position(a)
-        j = b if isinstance(b, int) else self.position(b)
+        i, j = require_indices(
+            (self.position(x) if isinstance(x, EVElement) else x for x in (a, b)),
+            len(self.elements), "position",
+        )
         return bool((self._lt_rows[i] >> j) & 1)
 
     def __eq__(self, other) -> bool:
@@ -141,15 +142,13 @@ def ev_size(p: Poset) -> int:
     )
 
 
-def build_ev(p: Poset, ceiling: int | None = None) -> EVSystem:
+def build_ev(p: Poset) -> EVSystem:
     """The vicinity system of p, points ordered by (anchor, down, up)."""
     if p.n == 0:
         raise EmptyPoset("vicinity system of the empty poset")
-    if ceiling is None:
-        ceiling = config.DEFAULT_EV_CEILING
     total = ev_size(p)
-    if total > ceiling:
-        raise SizeOverflow(total, ceiling)
+    if total > config.DEFAULT_EV_CEILING:
+        raise SizeOverflow(total, config.DEFAULT_EV_CEILING)
     elements = tuple(
         EVElement(x, d, u)
         for x in range(p.n)
@@ -163,8 +162,7 @@ def ev_at(system: EVSystem, x) -> tuple[EVElement, ...]:
     """Fiber of the system over an anchor given by index or label."""
     if isinstance(x, str):
         x = system.base.index(x)
-    if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < system.base.n):
-        raise IndexOutOfRange(f"anchor {x!r} outside base carrier")
+    require_indices((x,), system.base.n, "anchor")
     return tuple(e for e in system.elements if e.anchor == x)
 
 
@@ -206,9 +204,7 @@ class EVMap:
     def __post_init__(self):
         if len(self.mapping) != len(self.source):
             raise InvalidParameter("mapping length differs from source size")
-        for v in self.mapping:
-            if not (0 <= v < len(self.target)):
-                raise IndexOutOfRange(f"target position {v} out of range")
+        require_indices(self.mapping, len(self.target), "target position")
 
     @classmethod
     def identity(cls, system: EVSystem) -> "EVMap":
@@ -241,7 +237,7 @@ def is_strict_ev_hom(m: EVMap) -> bool:
         mi = m.mapping[i]
         for j in bits(src._lt_rows[i]):
             mj = m.mapping[j]
-            if mi == mj or not tgt.lt(mi, mj):
+            if mi == mj or not (tgt._lt_rows[mi] >> mj) & 1:
                 return False
     return True
 
@@ -291,24 +287,15 @@ def check_ev_scheme(
       * for each v in z_plus the fiber xi^-1(v) is recovered from eta;
       * distinct xi yield distinct eta.
     """
-    if n_max is None:
-        n_max = config.DEFAULT_SCAN_BOUND
-    config.check_bound(n_max)
+    n_max = config.check_bound(config.DEFAULT_SCAN_BOUND if n_max is None else n_max)
     if eps.source.base != r or eps.target.base != s:
         raise PreconditionFailed("eps must map the system of r into the system of s")
     if not is_strict_ev_hom(eps):
         raise PreconditionFailed("eps is not strict")
 
-    z_idx = set()
-    for z in z_plus:
-        if isinstance(z, str):
-            z = r.index(z)
-        elif not isinstance(z, int) or isinstance(z, bool):
-            raise InvalidParameter(f"z_plus elements must be labels or indices, got {z!r}")
-        z_idx.add(z)
-    for v in z_idx:
-        if not (0 <= v < r.n):
-            raise IndexOutOfRange(f"z_plus element {v} outside carrier")
+    z_idx = set(require_indices(
+        (r.index(z) if isinstance(z, str) else z for z in z_plus), r.n, "z_plus element"
+    ))
     left_out = [v for v in range(r.n) if v not in z_idx]
     if len(left_out) > 1:
         raise PreconditionFailed("z_plus must omit at most one anchor")

@@ -45,6 +45,7 @@ from . import config
 from ._record import record
 from .canonical import canonical_form, enumerate_connected, is_isomorphic
 from .errors import (
+    IndexOutOfRange,
     InternalInvariantViolation,
     InvalidParameter,
     MalformedCertificate,
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .homs import HomMap, count_maps, enumerate_maps, map_tuples
 from .lovasz import display_name, embeddable_connected
-from .poset import Poset, require_nonempty
+from .poset import Poset, require_indices, require_nonempty
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -77,9 +78,7 @@ class WitnessReport:
 def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessReport:
     """Scan connected classes up to n_max for a strict-count violation."""
     require_nonempty(r, s)
-    if n_max is None:
-        n_max = config.DEFAULT_SCAN_BOUND
-    config.check_bound(n_max)
+    n_max = config.check_bound(config.DEFAULT_SCAN_BOUND if n_max is None else n_max)
     checked = 0
     for p, cr, cs in _strict_count_pairs(r, s, n_max):
         checked += 1
@@ -168,9 +167,7 @@ def check_distributor(spec: DistributorSpec, n_max: int | None = None) -> Distri
     P within the bound, a strict map P -> target reached through two
     different sources.
     """
-    if n_max is None:
-        n_max = config.DEFAULT_DISTRIBUTOR_BOUND
-    config.check_bound(n_max)
+    n_max = config.check_bound(config.DEFAULT_DISTRIBUTOR_BOUND if n_max is None else n_max)
     sources = spec.sources
     if len(sources) >= 2:
         for k, tau in enumerate(sources):
@@ -247,11 +244,10 @@ class TransportCertificate:
                 raise MalformedCertificate(
                     f"lambda[{j}] lists {len(assigned)} classes, nu[{j}] = {count}"
                 )
-            for i in assigned:
-                if not (0 <= i < i_count):
-                    raise MalformedCertificate(
-                        f"lambda[{j}] references source class {i} out of range"
-                    )
+            try:
+                require_indices(assigned, i_count, f"lambda[{j}] source class")
+            except (IndexOutOfRange, InvalidParameter) as exc:
+                raise MalformedCertificate(str(exc)) from exc
             if len(dist.sources) != count:
                 raise MalformedCertificate(
                     f"distributor {j} carries {len(dist.sources)} sources, nu[{j}] = {count}"
@@ -321,9 +317,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     the independent bounded scan finds no counterexample (the latter
     failing after the former succeed would be a library bug).
     """
-    if n_max is None:
-        n_max = config.DEFAULT_DISTRIBUTOR_BOUND
-    config.check_bound(n_max)
+    n_max = config.check_bound(config.DEFAULT_DISTRIBUTOR_BOUND if n_max is None else n_max)
     require_nonempty(cert.r, cert.s)
 
     # hypothesis (i): the class lists are exactly the embeddable classes
@@ -424,19 +418,20 @@ def witness_search(r: Poset, s: Poset, n_max: int | None = None) -> tuple[Poset,
     """First connected poset separating the strict-map counts of r and s.
 
     The inputs must be non-isomorphic; a separating witness then exists
-    with at most max(|r|, |s|) elements, which is the default bound.
-    NoWitnessFound within that bound signals a bug.
+    with at most max(|r|, |s|) elements, which is the default bound.  A
+    smaller bound may miss it (NoWitnessFound); at that bound or above,
+    finding none is a library bug (InternalInvariantViolation).
     """
     require_nonempty(r, s)
     if is_isomorphic(r, s):
         raise InvalidParameter("witness search requires non-isomorphic posets")
-    if n_max is None:
-        n_max = max(r.n, s.n)
-    config.check_bound(n_max)
+    full = max(r.n, s.n)
+    n_max = config.check_bound(full if n_max is None else n_max)
     for p, cr, cs in _strict_count_pairs(r, s, n_max):
         if cr != cs:
             return p, (cr, cs)
-    raise NoWitnessFound(
-        f"no separating poset within {n_max} elements; for a bound of at least "
-        f"max(|r|, |s|) this indicates a bug"
-    )
+    if n_max >= full:
+        raise InternalInvariantViolation(
+            f"no separating poset within {n_max} elements, though max(|r|, |s|) = {full}"
+        )
+    raise NoWitnessFound(f"no separating poset within {n_max} elements; one exists within {full}")

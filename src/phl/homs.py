@@ -57,13 +57,12 @@ from ._bits import bits, mask_of
 from ._record import record
 from .errors import (
     DomainMismatch,
-    IndexOutOfRange,
     InternalInvariantViolation,
     InvalidParameter,
     NotAPartialOrder,
     OracleTooLarge,
 )
-from .poset import Poset, _transitive_hull, _zigzag, gamma, require_nonempty
+from .poset import Poset, _transitive_hull, _zigzag, gamma, require_indices, require_nonempty
 
 KINDS = ("hom", "strict", "strict_onto", "emb", "aut")
 
@@ -124,11 +123,7 @@ class HomMap:
             raise DomainMismatch(
                 f"map has {len(mapping)} entries for a domain of size {dom.n}"
             )
-        for v in mapping:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidParameter(f"map values must be integers, got {v!r}")
-            if not (0 <= v < cod.n):
-                raise IndexOutOfRange(f"value {v} outside codomain of size {cod.n}")
+        require_indices(mapping, cod.n, "map value")
         self.dom = dom
         self.cod = cod
         self.map = mapping
@@ -153,6 +148,7 @@ class HomMap:
         """Image of a domain index, or of a label as a label."""
         if isinstance(x, str):
             return self.cod.labels[self.map[self.dom.index(x)]]
+        require_indices((x,), self.dom.n, "element")
         return self.map[x]
 
     def label_map(self) -> dict[str, str]:
@@ -317,14 +313,14 @@ def count_maps(kind: str, p: Poset, q: Poset) -> int:
     return count
 
 
-def brute_force_count(kind: str, p: Poset, q: Poset, ceiling: int | None = None) -> int:
+def brute_force_count(kind: str, p: Poset, q: Poset) -> int:
     """Oracle count: filter all |Q|^|P| value tuples through the definition."""
     _check_args(kind, p, q)
-    if ceiling is None:
-        ceiling = config.DEFAULT_ORACLE_CEILING
     total = q.n ** p.n
-    if total > ceiling:
-        raise OracleTooLarge(f"{total} raw maps exceed the oracle ceiling {ceiling}")
+    if total > config.DEFAULT_ORACLE_CEILING:
+        raise OracleTooLarge(
+            f"{total} raw maps exceed the oracle ceiling {config.DEFAULT_ORACLE_CEILING}"
+        )
 
     def accept(f: tuple[int, ...]) -> bool:
         if kind == "hom":
@@ -361,10 +357,7 @@ def gamma_block(xi: HomMap, x: int) -> frozenset[int]:
     """Zigzag component of x inside its own fiber."""
     if not xi.is_hom:
         raise InvalidParameter("gamma blocks are defined for homomorphisms")
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InvalidParameter(f"element must be an integer, got {x!r}")
-    if not (0 <= x < xi.dom.n):
-        raise IndexOutOfRange(f"element {x} outside domain")
+    require_indices((x,), xi.dom.n, "element")
     fiber = [y for y in range(xi.dom.n) if xi.map[y] == xi.map[x]]
     return gamma(xi.dom, fiber, x)
 

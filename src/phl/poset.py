@@ -196,10 +196,7 @@ class Poset:
         return all(not self.leq(x, y) for x in idx for y in idx if x != y)
 
     def _subset_indices(self, subset: Iterable[int]) -> tuple[int, ...]:
-        idx = tuple(subset)
-        for i in idx:
-            if not isinstance(i, int) or isinstance(i, bool) or not (0 <= i < self.n):
-                raise IndexOutOfRange(f"index {i!r} outside carrier of size {self.n}")
+        idx = require_indices(subset, self.n, "index")
         if len(set(idx)) != len(idx):
             raise InvalidParameter("subset contains repeated indices")
         return idx
@@ -431,9 +428,9 @@ def is_convex(p: Poset, subset: Iterable[int]) -> bool:
 
 def gamma(p: Poset, subset: Iterable[int], x: int) -> frozenset[int]:
     """Zigzag component of x inside the subset."""
-    idx = p._subset_indices(subset)
-    smask = mask_of(idx)
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0 or not (smask >> x) & 1:
+    smask = mask_of(p._subset_indices(subset))
+    require_indices((x,), p.n, "element")
+    if not (smask >> x) & 1:
         raise IndexOutOfRange(f"{x!r} is not a member of the subset")
     return frozenset(bits(_zigzag(p, smask, x)))
 
@@ -453,6 +450,22 @@ def _zigzag(p: Poset, inside: int, x: int) -> int:
 def is_connected(p: Poset) -> bool:
     """True iff nonempty and a single zigzag component."""
     return p.n > 0 and len(p.component_orders) == 1
+
+
+def require_indices(values: Iterable[int], size: int, what: str) -> tuple[int, ...]:
+    """The values as a tuple, each checked to index a carrier of the given size.
+
+    A value that is not an int, or is a bool, raises InvalidParameter; an
+    int outside range(size) raises IndexOutOfRange.  Negative indices do
+    not wrap.  `what` names one value in the messages.
+    """
+    idx = tuple(values)
+    for i in idx:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise InvalidParameter(f"{what} must be an integer, got {i!r}")
+        if not 0 <= i < size:
+            raise IndexOutOfRange(f"{what} {i} outside range({size})")
+    return idx
 
 
 def require_nonempty(*posets: Poset) -> None:

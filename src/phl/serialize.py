@@ -246,10 +246,6 @@ def certificate_from_doc(doc) -> TransportCertificate:
         raise MalformedCertificate("nu must be a list of integers")
     if not isinstance(lam, list) or not all(isinstance(row, list) for row in lam):
         raise MalformedCertificate("lambda must be a list of lists")
-    for row in lam:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise MalformedCertificate("lambda entries must be integers")
     if not isinstance(dists, list):
         raise MalformedCertificate("distributors must be a list")
     specs = []

@@ -329,6 +329,7 @@ def test_module_entry_point():
     [
         ("phl.homs.count_maps", ["count", "--kind", "strict", "--p", "catalog:N", "--q", "catalog:N"]),
         ("phl.gscheme.verify_certificate", ["--json", "selftest"]),
+        ("phl.lovasz.verify_factorization", ["selftest"]),
     ],
 )
 def test_internal_invariant_violation_exits_4(capsys, monkeypatch, target, argv):

@@ -15,10 +15,10 @@ from phl.construction import (
 from phl.errors import (
     CarriersNotDisjoint,
     EmptyPoset,
+    IndexOutOfRange,
     NotAntichain,
     NotConvex,
     NotIsomorphism,
-    UnknownLabel,
 )
 from phl.evsystem import build_ev, is_strict_ev_hom
 from phl.examples import chain_graft_spec
@@ -55,7 +55,7 @@ def test_index_outside_carrier_rejected():
     spec = ConstructionSpec.from_indices(
         two_chain("p"), two_chain("q"), [5], [0], {5: 0}
     )
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(IndexOutOfRange):
         build_graft(spec)
 
 

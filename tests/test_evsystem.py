@@ -149,9 +149,9 @@ def test_empty_base_rejected():
 
 
 def test_size_ceiling():
-    big = catalog("C", 20)
+    big = catalog("C", 20)  # 20 * 2^19 points, over the point ceiling
     with pytest.raises(SizeOverflow):
-        build_ev(big, ceiling=1000)
+        build_ev(big)
 
 
 def test_unknown_fiber_element(c2):

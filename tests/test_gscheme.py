@@ -3,10 +3,14 @@ import random
 
 import pytest
 
+from phl import gscheme
 from phl.canonical import enumerate_connected, enumerate_posets, is_isomorphic
+from phl.cli import main
 from phl.errors import (
+    InternalInvariantViolation,
     InvalidParameter,
     MalformedCertificate,
+    NoWitnessFound,
     NotADistributor,
     NotStrictOnto,
 )
@@ -278,8 +282,9 @@ def test_certificate_structural_validation():
         replace(cert, nu=(1, 1))
     with pytest.raises(MalformedCertificate):
         replace(cert, lam=((0,), (1,), (2, 3)))
-    with pytest.raises(MalformedCertificate):
-        replace(cert, lam=((0,), (1,), (2, 3, 99)))
+    for bad in (99, -1, True, 0.5, "2"):
+        with pytest.raises(MalformedCertificate):
+            replace(cert, lam=((0,), (1,), (2, 3, bad)))
 
 
 def test_certificate_mismatched_distributor_raises():
@@ -330,6 +335,22 @@ def test_witness_search_separates_same_size_pair(v3, lambda3):
     p, (cr, cs) = witness_search(v3, lambda3)
     assert cr != cs
     assert p.n <= 3
+
+
+def test_missing_witness_is_a_bug_only_at_full_bound(monkeypatch, capsys, n_poset, crown):
+    # equal counts everywhere would make N and N2 isomorphic, so within
+    # max(|r|, |s|) = 4 elements only a wrong count can miss a witness
+    monkeypatch.setattr(gscheme, "count_maps", lambda kind, p, q: 1)
+    with pytest.raises(NoWitnessFound, match="within 3 elements; one exists within 4"):
+        witness_search(n_poset, crown, 3)
+    for bound in (None, 4, 5):
+        with pytest.raises(InternalInvariantViolation, match="within"):
+            witness_search(n_poset, crown, bound)
+    assert main(["witness", "--r", "catalog:N", "--s", "catalog:N2", "--bound", "3"]) == 2
+    assert main(["witness", "--r", "catalog:N", "--s", "catalog:N2"]) == 4
+    err = capsys.readouterr().err
+    assert "error: NoWitnessFound" in err
+    assert "error: InternalInvariantViolation" in err and "bug in phl" in err
 
 
 # -- the component-additive scan against direct counting ----------------------

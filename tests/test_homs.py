@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phl.construction import ConstructionSpec, build_graft
 from phl.errors import (
     DomainMismatch,
     EmptyPoset,
+    IndexOutOfRange,
     InvalidParameter,
     OracleTooLarge,
     UnknownLabel,
 )
-from phl.evsystem import EVMap, build_ev, check_ev_scheme
+from phl.evsystem import EVMap, build_ev, check_ev_scheme, ev_at
 from phl.homs import (
     KINDS,
     HomMap,
@@ -31,7 +33,7 @@ from phl.homs import (
     tuple_is_strict,
 )
 from phl.canonical import enumerate_posets
-from phl.poset import Poset, catalog, direct_sum, from_pairs
+from phl.poset import Poset, catalog, direct_sum, from_pairs, gamma, induced, is_convex
 from phl.randgen import random_poset
 
 from conftest import nonempty_posets
@@ -137,9 +139,9 @@ def test_unknown_kind_rejected(c2):
 
 
 def test_oracle_ceiling(c2):
-    big = catalog("A", 9)
+    big = catalog("A", 9)  # 9^9 raw maps, over the oracle ceiling
     with pytest.raises(OracleTooLarge):
-        brute_force_count("hom", big, big, ceiling=10**6)
+        brute_force_count("hom", big, big)
 
 
 @given(nonempty_posets(max_size=5), nonempty_posets(max_size=5),
@@ -286,19 +288,43 @@ def test_gamma_blocks_of_nonstrict_map(n_poset, c2):
 def test_integer_inputs_are_checked_not_coerced(n_poset, c2, c3):
     xi = HomMap(c2, c3, (0, 2))
     assert Poset(("x", "y"), (0b11, 0b10)).n == 2
-    ident = EVMap.identity(build_ev(c2))
+    system = build_ev(c2)
+    ident = EVMap.identity(system)
     assert check_ev_scheme(ident, c2, c2, [0], 2).ok
+    p, q = Poset(("p0", "p1"), (0b11, 0b10)), Poset(("q0", "q1"), (0b11, 0b10))
+    # every entry point taking an index from its caller: a call with index v,
+    # the size v must stay below, and whether a string is read as a label
+    entries = [
+        (lambda v: HomMap(c2, c3, (v, 2)), c3.n, False),
+        (lambda v: xi(v), c2.n, True),
+        (lambda v: gamma_block(xi, v), c2.n, False),
+        (lambda v: c3.is_antichain([v]), c3.n, False),
+        (lambda v: induced(c3, [0, v]), c3.n, False),
+        (lambda v: is_convex(c3, [v]), c3.n, False),
+        (lambda v: gamma(c3, [v], 0), c3.n, False),
+        (lambda v: gamma(c3, range(3), v), c3.n, False),
+        (lambda v: ev_at(system, v), c2.n, True),
+        (lambda v: system.lt(v, 0), len(system), False),
+        (lambda v: system.lt(0, v), len(system), False),
+        (lambda v: EVMap(system, system, (0, 1, 2, v)), len(system), False),
+        (lambda v: check_ev_scheme(ident, c2, c2, [v], 2), c2.n, True),
+        (lambda v: build_graft(ConstructionSpec.from_indices(p, q, [v], [0], {v: 0})), p.n, False),
+        (lambda v: build_graft(ConstructionSpec.from_indices(p, q, [0], [v], {0: v})), q.n, False),
+        (lambda v: build_graft(ConstructionSpec.from_indices(p, q, [1], [1], {v: 1})), p.n, False),
+        (lambda v: build_graft(ConstructionSpec.from_indices(p, q, [1], [1], {1: v})), q.n, False),
+    ]
+    for call, size, takes_labels in entries:
+        for bad in (0.0, 0.9, "0", True, False):
+            if isinstance(bad, str) and takes_labels:
+                continue
+            with pytest.raises(InvalidParameter):
+                call(bad)
+        for outside in (-1, size):
+            with pytest.raises(IndexOutOfRange):
+                call(outside)
     for bad in (0.0, 0.9, "0", True, False):
         with pytest.raises(InvalidParameter):
-            HomMap(c2, c3, (bad, 2))
-        with pytest.raises(InvalidParameter):
-            gamma_block(xi, bad)
-        with pytest.raises(InvalidParameter):
             Poset(("x", "y"), (bad, 0b10))
-        if isinstance(bad, str):
-            continue
-        with pytest.raises(InvalidParameter):
-            check_ev_scheme(ident, c2, c2, [bad], 2)
     # z_plus takes strings as labels, so a numeric string is one only where
     # the poset has it: "0" names an element of C2 but not of N
     assert check_ev_scheme(ident, c2, c2, ["0"], 2).ok
