@@ -65,7 +65,12 @@ class ConstructionSpec:
 
     @classmethod
     def from_indices(cls, p: Poset, q: Poset, a: Iterable[int], b: Iterable[int], beta: dict) -> "ConstructionSpec":
-        return cls(p, q, frozenset(a), frozenset(b), tuple(sorted(beta.items())))
+        pairs = tuple(beta.items())
+        try:
+            pairs = tuple(sorted(pairs))
+        except TypeError:  # keys of mixed types: _validate_spec reports them by the index rule
+            pass
+        return cls(p, q, frozenset(a), frozenset(b), pairs)
 
     @classmethod
     def from_labels(cls, p: Poset, q: Poset, a_labels, b_labels, beta_labels: dict) -> "ConstructionSpec":

@@ -12,7 +12,9 @@ components R_c of R.  The scans of bounded_gle_check and witness_search
 use this: a component shared by R and S (equal relation rows), or
 repeated within one of them, is counted once per class and weighted by
 its multiplicity on each side, and a component whose longest chain is
-shorter than P's admits no strict map and is skipped.
+shorter than P's admits no strict map and is skipped.  Each component
+keeps its counts per class, in class order, from one scan to the next,
+so a repeated scan reads them instead of searching again.
 
 A certificate upgrades bounded evidence to a theorem.  Its ingredients:
 
@@ -94,13 +96,15 @@ def _strict_count_pairs(r: Poset, s: Poset, n_max: int):
     for side, t in enumerate((r, s), 1):
         for c in t.component_posets:
             groups.setdefault(c._up, [c, 0, 0])[side] += 1
-    shared = [(c, c.longest_chain, mr, ms) for c, mr, ms in groups.values()]
-    for p in enumerate_connected(n_max):
-        chain = p.longest_chain
+    shared = [(c, c._strict_profile, c.longest_chain, mr, ms) for c, mr, ms in groups.values()]
+    for i, p in enumerate(enumerate_connected(n_max)):
         cr = cs = 0
-        for c, top, mr, ms in shared:
-            if chain <= top:
-                k = count_maps("strict", p, c)
+        for c, profile, top, mr, ms in shared:
+            if i == len(profile):
+                # a store at i, not an append: scans of c in two threads may both fill entry i
+                profile[i:i + 1] = [count_maps("strict", p, c) if p.longest_chain <= top else 0]
+            k = profile[i]
+            if k:
                 cr += mr * k
                 cs += ms * k
         yield p, cr, cs

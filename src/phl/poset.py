@@ -175,6 +175,12 @@ class Poset:
             return (self,)
         return tuple(induced(self, order) for order in self.component_orders)
 
+    @cached_property
+    def _strict_profile(self) -> list[int]:
+        """Entry i holds #strict(P_i, self), P_i the i-th connected class;
+        filled in class order by gscheme."""
+        return []
+
     # -- map-search tables, built once per poset and read by homs --------
 
     @cached_property

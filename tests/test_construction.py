@@ -16,6 +16,7 @@ from phl.errors import (
     CarriersNotDisjoint,
     EmptyPoset,
     IndexOutOfRange,
+    InvalidParameter,
     NotAntichain,
     NotConvex,
     NotIsomorphism,
@@ -56,6 +57,16 @@ def test_index_outside_carrier_rejected():
         two_chain("p"), two_chain("q"), [5], [0], {5: 0}
     )
     with pytest.raises(IndexOutOfRange):
+        build_graft(spec)
+
+
+def test_beta_keys_of_mixed_types_rejected():
+    # the keys cannot be sorted, so the spec keeps them as given and the
+    # index rule names the key that is not an integer
+    spec = ConstructionSpec.from_indices(
+        two_chain("p"), two_chain("q"), [0, 1], [0, 1], {0: 0, "x": 1}
+    )
+    with pytest.raises(InvalidParameter, match="beta key must be an integer, got 'x'"):
         build_graft(spec)
 
 

@@ -1,5 +1,7 @@
 import operator
 import random
+import sys
+import threading
 
 import pytest
 
@@ -323,6 +325,87 @@ def test_repeated_scans_keep_one_plan_per_order_and_kind_class():
             assert (p.component_orders[0], 2) in p._plans
 
 
+def created_profiles(*targets):
+    """The strict-count profiles that scans created on the targets' components."""
+    comps = {id(c): c for t in targets for c in t.component_posets}
+    return [c.__dict__["_strict_profile"] for c in comps.values() if "_strict_profile" in c.__dict__]
+
+
+def test_warm_scan_searches_nothing(monkeypatch):
+    """A cold scan counts each class once per distinct component whose chain
+    fits, in class order; a repeat within the filled prefix counts nothing."""
+    r = direct_sum(catalog("C", 2), catalog("A", 1))
+    s = direct_sum(r, catalog("N"))
+    calls = []
+
+    def recording(kind, p, q):
+        calls.append((kind, p, q._up))
+        return count_maps(kind, p, q)
+
+    monkeypatch.setattr(gscheme, "count_maps", recording)
+    report = bounded_gle_check(r, s, 5)
+    assert report.holds
+    rows = {c._up: c.longest_chain for t in (r, s) for c in t.component_posets}
+    assert calls == [("strict", p, up) for p in enumerate_connected(5)
+                     for up, top in rows.items() if p.longest_chain <= top]
+
+    def no_search(*args):
+        raise AssertionError("a warm scan searched")
+
+    monkeypatch.setattr(gscheme, "count_maps", no_search)
+    assert bounded_gle_check(r, s, 5) == report
+    assert bounded_gle_check(r, s, 4).classes_checked == 15
+    for bound in range(1, 6):
+        p, (cr, cs) = witness_search(r, s, bound)
+        assert cr != cs
+
+
+def test_refuted_scan_fills_only_the_classes_it_checked(v3, lambda3):
+    for r, s in ((v3, lambda3), (catalog("N2"), direct_sum(catalog("A", 2), catalog("C", 2)))):
+        report = bounded_gle_check(r, s, 6)
+        assert not report.holds and report.classes_checked > 1
+        profiles = created_profiles(r, s)
+        assert profiles and all(len(prof) == report.classes_checked for prof in profiles)
+
+
+def test_profiles_grow_with_the_bound_only():
+    r = direct_sum(catalog("C", 2), catalog("A", 1))
+    s = direct_sum(r, catalog("A", 1))
+    assert bounded_gle_check(r, s, 5).holds
+    assert {len(prof) for prof in created_profiles(r, s)} == {59}
+    assert bounded_gle_check(r, s, 6).holds
+    assert bounded_gle_check(r, s, 5).holds
+    assert {len(prof) for prof in created_profiles(r, s)} == {297}
+    r = direct_sum(catalog("C", 2), catalog("A", 1))
+    s = direct_sum(r, catalog("A", 1))
+    assert bounded_gle_check(r, s, 6).holds
+    assert bounded_gle_check(r, s, 5).holds
+    assert {len(prof) for prof in created_profiles(r, s)} == {297}
+
+
+def test_threads_filling_one_profile_agree():
+    """Scans of one pair in more threads than cores, switching often, leave
+    one entry per class and the verdict of a single scan."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            r = direct_sum(catalog("C", 2), catalog("N"))
+            s = direct_sum(r, catalog("A", 1))
+            reports = []
+            threads = [threading.Thread(target=lambda: reports.append(bounded_gle_check(r, s, 5)))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert {(rep.verdict, rep.classes_checked) for rep in reports} == {("holds_up_to_bound", 59)}
+            assert {len(prof) for prof in created_profiles(r, s)} == {59}
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_witness_search(c2, c3, v3):
     with pytest.raises(InvalidParameter):
         witness_search(c3, c3)
@@ -398,16 +481,48 @@ def scan_cases():
     return cases
 
 
+def fresh(p):
+    """A copy of p that shares none of its caches, so its profiles start empty."""
+    return Poset(p.labels, p._up)
+
+
 def test_strict_scans_match_direct_counting():
+    """Cold scans, warm repeats and scans that extend a prefix left by a
+    smaller bound all agree with direct counting."""
     verdicts = set()
-    for r, s, n_max in scan_cases():
-        checked, witness = reference_scan(r, s, n_max, operator.gt)
+    for r0, s0, n_max in scan_cases():
+        checked, witness = reference_scan(r0, s0, n_max, operator.gt)
+        r, s = fresh(r0), fresh(s0)
+        for _ in ("cold", "warm"):
+            report = bounded_gle_check(r, s, n_max)
+            assert (report.classes_checked, report.witness) == (checked, witness)
+        verdicts.add(report.verdict)
+        r, s = fresh(r0), fresh(s0)
+        bounded_gle_check(r, s, 3)
         report = bounded_gle_check(r, s, n_max)
         assert (report.classes_checked, report.witness) == (checked, witness)
-        verdicts.add(report.verdict)
         if not is_isomorphic(r, s):
-            assert witness_search(r, s) == reference_scan(r, s, max(r.n, s.n), operator.ne)[1]
+            expected = reference_scan(r, s, max(r.n, s.n), operator.ne)[1]
+            assert witness_search(r, s) == expected
+            assert witness_search(fresh(r0), fresh(s0)) == expected
     assert verdicts == {"holds_up_to_bound", "counterexample"}
+
+
+def test_interleaved_scans_share_one_profile():
+    """Two scans of one pair advanced in lockstep, the second started level
+    with the first or ten classes behind it, read the counts the first
+    filled and yield the direct counts."""
+    for lead in (0, 10):
+        r = direct_sum(catalog("N"), catalog("C", 2))
+        s = direct_sum(catalog("N"), catalog("V", 3))
+        expected = [(p, count_maps("strict", p, r), count_maps("strict", p, s))
+                    for p in enumerate_connected(5)]
+        ahead = gscheme._strict_count_pairs(r, s, 5)
+        first = [next(ahead) for _ in range(lead)]
+        behind = gscheme._strict_count_pairs(r, s, 5)
+        pairs = list(zip(ahead, behind))
+        assert first + [a for a, _ in pairs] == expected
+        assert [b for _, b in pairs] == expected[:len(pairs)]
 
 
 def test_longer_chain_admits_no_strict_map():
