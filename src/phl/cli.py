@@ -16,7 +16,6 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from . import config
 from .errors import (
     InternalInvariantViolation,
     MalformedCertificate,
@@ -79,13 +78,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify-cert", help="verify a transport certificate")
     sp.add_argument("--cert", required=True)
-    sp.add_argument("--bound", type=int, default=config.DEFAULT_DISTRIBUTOR_BOUND)
+    sp.add_argument("--bound", type=int, default=None)
     sp.set_defaults(func=cmd_verify_cert)
 
     sp = sub.add_parser("check-gle", help="bounded strict-count comparison scan")
     sp.add_argument("--r", required=True)
     sp.add_argument("--s", required=True)
-    sp.add_argument("--bound", type=int, default=config.DEFAULT_SCAN_BOUND)
+    sp.add_argument("--bound", type=int, default=None)
     sp.set_defaults(func=cmd_check_gle)
 
     sp = sub.add_parser("witness", help="find a separating connected poset")
@@ -97,7 +96,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("construct-sum", help="graft construction pipeline")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--emit", default=None, help="write the graft poset as JSON")
-    sp.add_argument("--verify-bound", type=int, default=config.DEFAULT_SCAN_BOUND)
+    sp.add_argument("--verify-bound", type=int, default=None)
     sp.set_defaults(func=cmd_construct_sum)
 
     sp = sub.add_parser("ev", help="export a vicinity system")
@@ -270,9 +269,7 @@ def _selftest_checks(bound: int, seed: int):
     def matrices(universe_names, target_refs, sro, emb, strict):
         universe = tuple(parse_catalog_ref(name) for name in universe_names)
         targets = tuple(parse_catalog_ref(ref) for ref in target_refs)
-        mats = factor_matrices(
-            universe, targets, row_names=universe_names, target_names=target_refs
-        )
+        mats = factor_matrices(universe, targets, target_names=target_refs)
         return mats.sro.cells == sro and mats.emb.cells == emb and mats.strict.cells == strict
 
     yield "count-matrices-six-class", lambda: matrices(

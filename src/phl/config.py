@@ -43,8 +43,10 @@ def max_bound() -> int:
     return value
 
 
-def check_bound(n_max: int) -> int:
-    """Validate a scan bound against the enumeration ceiling."""
+def check_bound(n_max: int | None, default: int | None = None) -> int:
+    """Validate a scan bound against the enumeration ceiling; None reads as default."""
+    if n_max is None:
+        n_max = default
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise InvalidParameter(f"bound must be an integer, got {n_max!r}")
     if n_max < 1:

@@ -232,10 +232,11 @@ def graft_pipeline(spec: ConstructionSpec, n_max: int | None = None) -> GraftRep
     and certifies the comparison on its own, so a class that violates it
     is a bug and raises InternalInvariantViolation.  The redundant
     bounded scan runs at n_max, defaulting to the package scan bound;
-    pass 0 to skip it.
+    pass the int 0 to skip it.  The bound is checked before the graft
+    is built.
     """
-    if n_max is None:
-        n_max = config.DEFAULT_SCAN_BOUND
+    if n_max != 0 or type(n_max) is not int:  # so False and 0.0 are refused
+        n_max = config.check_bound(n_max, config.DEFAULT_SCAN_BOUND)
     result = build_graft(spec)
     summed = direct_sum(spec.p, spec.q)
     extended = result.extended

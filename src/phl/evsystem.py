@@ -253,10 +253,8 @@ class EVSchemeViolation:
 
 @record
 class EVSchemeReport:
-    """check_ev_scheme's work done and violations found."""
+    """check_ev_scheme's strict maps scanned and violations found."""
 
-    bound: int
-    posets_checked: int
     maps_checked: int
     violations: tuple[EVSchemeViolation, ...]
 
@@ -286,8 +284,11 @@ def check_ev_scheme(
         the single element left out of z_plus;
       * for each v in z_plus the fiber xi^-1(v) is recovered from eta;
       * distinct xi yield distinct eta.
+
+    The report holds the number of strict maps xi scanned and the first
+    16 violations, in class order and then lexicographic map order.
     """
-    n_max = config.check_bound(config.DEFAULT_SCAN_BOUND if n_max is None else n_max)
+    n_max = config.check_bound(n_max, config.DEFAULT_SCAN_BOUND)
     if eps.source.base != r or eps.target.base != s:
         raise PreconditionFailed("eps must map the system of r into the system of s")
     if not is_strict_ev_hom(eps):
@@ -311,10 +312,8 @@ def check_ev_scheme(
 
     src_pos = src._pos
     violations: list[EVSchemeViolation] = []
-    posets_checked = 0
     maps_checked = 0
     for p in enumerate_connected(n_max):
-        posets_checked += 1
         etas = set()
         count = 0
         # lexicographic order, so the violations kept below do not depend
@@ -361,9 +360,4 @@ def check_ev_scheme(
                 "injectivity", p,
                 f"{count} strict maps transported to {len(etas)} images",
             ))
-    return EVSchemeReport(
-        bound=n_max,
-        posets_checked=posets_checked,
-        maps_checked=maps_checked,
-        violations=tuple(violations[:16]),
-    )
+    return EVSchemeReport(maps_checked, tuple(violations[:16]))

@@ -33,10 +33,12 @@ A certificate upgrades bounded evidence to a theorem.  Its ingredients:
 check_distributing proves a single surjection distributing when its
 vicinity profile is injective and, for every collision, the down images
 and up images are both disjoint; otherwise it reports inconclusive
-rather than failed.  check_distributor verifies a family up to a bound.
-verify_certificate recomputes every hypothesis, evaluates the rational
-count inequality per used target class exactly, and runs the bounded
-scan as an independent sanity check.
+rather than failed.  check_distributor verifies a family up to a bound,
+returning None or raising NotADistributor.  verify_certificate
+recomputes every hypothesis, evaluates the rational count inequality
+per used target class exactly, and runs the bounded scan as an
+independent sanity check; its report is certified when it names no
+failure.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class WitnessReport:
 def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessReport:
     """Scan connected classes up to n_max for a strict-count violation."""
     require_nonempty(r, s)
-    n_max = config.check_bound(config.DEFAULT_SCAN_BOUND if n_max is None else n_max)
+    n_max = config.check_bound(n_max, config.DEFAULT_SCAN_BOUND)
     checked = 0
     for p, cr, cs in _strict_count_pairs(r, s, n_max):
         checked += 1
@@ -154,24 +156,16 @@ class DistributorSpec:
                 raise NotStrictOnto(f"source {k} is not a strict surjection")
 
 
-@record
-class DistributorReport:
-    """A distributor that held up to bound, with the classes it scanned."""
-
-    bound: int
-    classes_checked: int
-    source_count: int
-
-
-def check_distributor(spec: DistributorSpec, n_max: int | None = None) -> DistributorReport:
-    """Verify a distributor up to n_max; raises NotADistributor on failure.
+def check_distributor(spec: DistributorSpec, n_max: int | None = None) -> None:
+    """Verify a distributor up to n_max; returns None, raises NotADistributor on failure.
 
     Failure modes: with two or more sources, a source isomorphic to the
     target; a source not provably distributing; or, for some connected
     P within the bound, a strict map P -> target reached through two
-    different sources.
+    different sources.  One source cannot overlap another, so it scans
+    no class.
     """
-    n_max = config.check_bound(config.DEFAULT_DISTRIBUTOR_BOUND if n_max is None else n_max)
+    n_max = config.check_bound(n_max, config.DEFAULT_DISTRIBUTOR_BOUND)
     sources = spec.sources
     if len(sources) >= 2:
         for k, tau in enumerate(sources):
@@ -189,11 +183,9 @@ def check_distributor(spec: DistributorSpec, n_max: int | None = None) -> Distri
                 f"source {k} fails the distributing criterion",
                 index=k,
             )
-    checked = 0
+    if len(sources) < 2:
+        return
     for p in enumerate_connected(n_max):
-        checked += 1
-        if len(sources) < 2:
-            continue
         seen: dict[tuple[int, ...], int] = {}
         for k, tau in enumerate(sources):
             f = tau.map
@@ -209,7 +201,6 @@ def check_distributor(spec: DistributorSpec, n_max: int | None = None) -> Distri
                         index=(other, k),
                         witness=(p, other, k, witness_map),
                     )
-    return DistributorReport(n_max, checked, len(sources))
 
 
 # -- transport certificates -------------------------------------------------
@@ -274,18 +265,16 @@ class InequalityInstance:
 
 @record
 class CertificateReport:
-    """verify_certificate's verdict with the evidence behind it."""
+    """verify_certificate's verdict: certified when failure is None."""
 
-    verdict: str  # "certified" | "failed"
     bound: int
     failure: str | None
     inequalities: tuple[InequalityInstance, ...]
-    distributor_reports: tuple[DistributorReport, ...]
     scan: WitnessReport | None
 
     @property
     def certified(self) -> bool:
-        return self.verdict == "certified"
+        return self.failure is None
 
     def summary(self) -> str:
         lines = []
@@ -309,8 +298,8 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _failed(n_max, reason, ineqs=(), dreports=()) -> CertificateReport:
-    return CertificateReport("failed", n_max, reason, tuple(ineqs), tuple(dreports), None)
+def _failed(n_max, reason, ineqs=()) -> CertificateReport:
+    return CertificateReport(n_max, reason, tuple(ineqs), None)
 
 
 def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> CertificateReport:
@@ -321,7 +310,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     the independent bounded scan finds no counterexample (the latter
     failing after the former succeed would be a library bug).
     """
-    n_max = config.check_bound(config.DEFAULT_DISTRIBUTOR_BOUND if n_max is None else n_max)
+    n_max = config.check_bound(n_max, config.DEFAULT_DISTRIBUTOR_BOUND)
     require_nonempty(cert.r, cert.s)
 
     # hypothesis (i): the class lists are exactly the embeddable classes
@@ -372,16 +361,14 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
         )
 
     # hypothesis (v): every used target class carries a distributor
-    dreports = []
     for j in j_star:
         try:
-            dreports.append(check_distributor(cert.distributors[j], n_max))
+            check_distributor(cert.distributors[j], n_max)
         except NotADistributor as exc:
             return _failed(
                 n_max,
                 f"hypothesis (v): distributor for "
                 f"{display_name(cert.qprime_classes[j])}: {exc}",
-                dreports=dreports,
             )
 
     # the count inequality, in exact rational arithmetic
@@ -407,7 +394,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
             n_max,
             f"count inequality fails at {bad[0].target_name}: "
             f"{bad[0].lhs} > {bad[0].rhs}",
-            ineqs=ineqs, dreports=dreports,
+            ineqs,
         )
 
     scan = bounded_gle_check(cert.r, cert.s, n_max)
@@ -415,7 +402,7 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
         raise InternalInvariantViolation(
             "certificate verified but the independent scan found a counterexample"
         )
-    return CertificateReport("certified", n_max, None, tuple(ineqs), tuple(dreports), scan)
+    return CertificateReport(n_max, None, tuple(ineqs), scan)
 
 
 def witness_search(r: Poset, s: Poset, n_max: int | None = None) -> tuple[Poset, tuple[int, int]]:
@@ -430,7 +417,7 @@ def witness_search(r: Poset, s: Poset, n_max: int | None = None) -> tuple[Poset,
     if is_isomorphic(r, s):
         raise InvalidParameter("witness search requires non-isomorphic posets")
     full = max(r.n, s.n)
-    n_max = config.check_bound(full if n_max is None else n_max)
+    n_max = config.check_bound(n_max, full)
     for p, cr, cs in _strict_count_pairs(r, s, n_max):
         if cr != cs:
             return p, (cr, cs)

@@ -112,8 +112,6 @@ class CountMatrix:
 class FactorMatrices:
     """Strict-surjection-orbit, embedding and strict-map count matrices."""
 
-    universe: tuple[Poset, ...]
-    targets: tuple[Poset, ...]
     sro: CountMatrix
     emb: CountMatrix
     strict: CountMatrix
@@ -137,23 +135,23 @@ def display_name(p: Poset) -> str:
     return _NAME_OF_CODE.get(code) or f"P{p.n}#{code[1:].hex()}"
 
 
-def factor_matrices(
-    row_universe,
-    targets,
-    row_names=None,
-    target_names=None,
-) -> FactorMatrices:
+def factor_matrices(row_universe, targets, target_names=None) -> FactorMatrices:
     """The three count matrices over a shared row universe.
 
     The universe must consist of pairwise non-isomorphic connected
     posets and cover exactly the classes embeddable into at least one
-    target; UniverseMismatch reports any defect.  The factorization
-    identity strict = sro . emb is checked for every column.
+    target; UniverseMismatch reports any defect.  Rows are named by
+    display_name, columns by target_names (one per target, display_name
+    by default).  The factorization identity strict = sro . emb is
+    checked for every column.
     """
     universe = tuple(row_universe)
     targets = tuple(targets)
     if not universe or not targets:
         raise InvalidParameter("universe and targets must be nonempty")
+    target_names = tuple(map(display_name, targets) if target_names is None else target_names)
+    if len(target_names) != len(targets):
+        raise InvalidParameter(f"{len(target_names)} target names for {len(targets)} targets")
     codes = [canonical_form(p) for p in universe]
     if len(set(codes)) != len(codes):
         raise UniverseMismatch("universe repeats an isomorphism class")
@@ -175,8 +173,7 @@ def factor_matrices(
             parts.append(f"classes embeddable in no target: {', '.join(extra)}")
         raise UniverseMismatch("; ".join(parts))
 
-    row_names = tuple(map(display_name, universe) if row_names is None else row_names)
-    target_names = tuple(map(display_name, targets) if target_names is None else target_names)
+    row_names = tuple(map(display_name, universe))
 
     sro_cells = tuple(
         tuple(count_strict_onto_orbits(p, q) for q in universe) for p in universe
@@ -198,11 +195,9 @@ def factor_matrices(
                     f"column {target_names[tj]}: {total} != {strict_cells[i][tj]}"
                 )
     return FactorMatrices(
-        universe=universe,
-        targets=targets,
-        sro=CountMatrix(row_names, row_names, sro_cells),
-        emb=CountMatrix(row_names, target_names, emb_cells),
-        strict=CountMatrix(row_names, target_names, strict_cells),
+        CountMatrix(row_names, row_names, sro_cells),
+        CountMatrix(row_names, target_names, emb_cells),
+        CountMatrix(row_names, target_names, strict_cells),
     )
 
 

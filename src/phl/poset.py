@@ -77,7 +77,7 @@ class Poset:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value is no label either
             raise UnknownLabel(label) from None
 
     def leq(self, i: int, j: int) -> bool:

@@ -117,7 +117,8 @@ def test_criterion_01_six_class_count_matrices(announce):
     def body():
         universe = named_catalog(SIX_CLASS_NAMES)
         targets = (catalog("N"), direct_sum(catalog("A", 1), catalog("C", 3)))
-        mats = factor_matrices(universe, targets, row_names=SIX_CLASS_NAMES)
+        mats = factor_matrices(universe, targets)
+        assert mats.sro.row_names == SIX_CLASS_NAMES
         assert mats.sro.cells == SIX_CLASS_SRO
         assert mats.emb.cells == SIX_CLASS_EMB
         assert mats.strict.cells == SIX_CLASS_STRICT
@@ -129,7 +130,8 @@ def test_criterion_02_seven_class_count_matrices(announce):
     def body():
         universe = named_catalog(SEVEN_CLASS_NAMES)
         targets = (catalog("W"), direct_sum(catalog("A", 1), catalog("N2")))
-        mats = factor_matrices(universe, targets, row_names=SEVEN_CLASS_NAMES)
+        mats = factor_matrices(universe, targets)
+        assert mats.sro.row_names == SEVEN_CLASS_NAMES
         assert mats.sro.cells == SEVEN_CLASS_SRO
         assert mats.emb.cells == SEVEN_CLASS_EMB
         assert mats.strict.cells == SEVEN_CLASS_STRICT

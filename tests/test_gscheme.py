@@ -111,9 +111,7 @@ def test_distributor_spec_validation(n_poset, c3, c2):
 
 def test_single_distributing_map_is_a_distributor(n_poset, c3):
     tau = HomMap.from_labels(n_poset, c3, {"a": "1", "b": "0", "c": "2", "d": "1"})
-    report = check_distributor(DistributorSpec((tau,), c3), 4)
-    assert report.source_count == 1
-    assert report.classes_checked == 15
+    assert check_distributor(DistributorSpec((tau,), c3), 4) is None
 
 
 def test_distributor_family_of_three(v3, lambda3, n_poset, c3):
@@ -122,8 +120,7 @@ def test_distributor_family_of_three(v3, lambda3, n_poset, c3):
     assert {tau.dom.labels for tau in spec.sources} == {
         v3.labels, lambda3.labels, n_poset.labels
     }
-    report = check_distributor(spec, 5)
-    assert report.source_count == 3
+    assert check_distributor(spec, 5) is None
 
 
 def test_distributor_rejects_source_isomorphic_to_target(c3, n_poset):

@@ -135,6 +135,18 @@ def test_factor_matrices_validate_universe(n_poset):
         factor_matrices(list(rows) + [rows[0]], [n_poset])
 
 
+def test_factor_matrices_name_each_target_once():
+    targets = [catalog("N"), direct_sum(catalog("A", 1), catalog("C", 3))]
+    rows = embeddable_connected(*targets).values()
+    mats = factor_matrices(rows, targets, target_names=("x", "y"))
+    assert mats.emb.col_names == mats.strict.col_names == ("x", "y")
+    assert mats.sro.row_names == mats.emb.row_names == tuple(map(display_name, rows))
+    assert factor_matrices(rows, targets).emb.col_names == tuple(map(display_name, targets))
+    for names in (("x",), ("x", "y", "z"), ()):
+        with pytest.raises(InvalidParameter, match=f"{len(names)} target names for 2 targets"):
+            factor_matrices(rows, targets, target_names=names)
+
+
 def test_display_names():
     assert display_name(catalog("A", 1)) == "A1"
     assert display_name(catalog("C", 4)) == "C4"

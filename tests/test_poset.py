@@ -15,6 +15,7 @@ from phl.errors import (
     NotAPartialOrder,
     UnknownLabel,
 )
+from phl.homs import HomMap
 from phl.poset import (
     Poset,
     catalog,
@@ -63,6 +64,15 @@ def test_duplicate_and_unknown_labels():
         from_pairs(["x", "x"], [])
     with pytest.raises(UnknownLabel):
         from_pairs("ab", [("a", "z")])
+
+
+@pytest.mark.parametrize("value", [["0"], {}, {"0"}, 0, None, b"0"], ids=repr)
+def test_index_of_a_non_label_raises_unknown_label(value):
+    c2 = catalog("C", 2)
+    with pytest.raises(UnknownLabel):
+        c2.index(value)
+    with pytest.raises(UnknownLabel):
+        HomMap.from_labels(c2, c2, {"0": value, "1": "1"})
 
 
 def test_direct_constructor_validates_transitivity():

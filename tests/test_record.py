@@ -72,7 +72,7 @@ def test_every_record_is_found():
     assert [cls.__name__ for cls in RECORDS] == [
         "ConstructionSpec", "EmbRow", "GraftReport", "GraftResult", "RelationParts",
         "EVElement", "EVMap", "EVSchemeReport", "EVSchemeViolation", "CertificateReport",
-        "DistributorReport", "DistributorSpec", "InequalityInstance", "TransportCertificate",
+        "DistributorSpec", "InequalityInstance", "TransportCertificate",
         "WitnessReport", "QuotientFactorization", "CountMatrix", "FactorMatrices",
         "FactorizationReport", "FactorizationTerm",
     ]
