@@ -7,10 +7,12 @@ ordered pairs of distinct posets among the 87 of 1..5 elements (OEIS
 A000112), bounded_gle_check at bound 6 must give the verdict,
 classes_checked and witness of a reference scan that counts strict maps into the whole posets, one class
 at a time in class order, with no component rule and no kept profile.
-Each pair is scanned twice, on copies that share no caches: first cold,
-then warm from the counts the first scan kept.
+Each pair is scanned twice, on copies that share no caches, with the
+kept profiles emptied before the first scan: first cold, then warm from
+the counts the first scan kept.
 """
 
+from phl import gscheme
 from phl.canonical import enumerate_connected, enumerate_posets
 from phl.gscheme import bounded_gle_check
 from phl.homs import count_maps
@@ -41,6 +43,8 @@ def test_bounded_scan_matches_the_definition_on_all_pairs_up_to_size_5():
             expected = reference(counts_r, counts_s, classes)
             holding += expected[0] == "holds_up_to_bound"
             rc, sc = Poset(r.labels, r._up), Poset(s.labels, s._up)
+            gscheme._component_code.cache_clear()
+            gscheme._profile.cache_clear()
             for _ in ("cold", "warm"):
                 report = bounded_gle_check(rc, sc, BOUND)
                 assert (report.verdict, report.classes_checked, report.witness) == expected, (r, s)

@@ -4,10 +4,10 @@ Statement checked: #strict(P, R) = #strict(P, S) for every connected P
 holds only when R and S are isomorphic, and a separating P then exists
 with at most max(|R|, |S|) elements.  For each of the 163,620 ordered
 pairs of non-isomorphic posets among the 405 of 1..6 elements (OEIS
-A000112), witness_search at its default bound, max(|R|, |S|), must
-return a connected P with different counts into R and into S, and must
-never raise InternalInvariantViolation (its report that no witness
-exists within that bound).
+A000112), witness_search, which scans up to max(|R|, |S|) elements,
+must return a connected P with different counts into R and into S, and
+must never raise InternalInvariantViolation (its report that no witness
+exists within that size).
 """
 
 from phl.canonical import enumerate_posets

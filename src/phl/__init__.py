@@ -29,10 +29,10 @@ _EXPORTS = {
         "BoundTooLarge", "CarriersNotDisjoint", "DomainMismatch",
         "DuplicateLabel", "EmptyPoset", "IndexOutOfRange",
         "InternalInvariantViolation", "InvalidParameter",
-        "MalformedCertificate", "MalformedDocument", "NoWitnessFound",
-        "NotADistributor", "NotAPartialOrder", "NotAntichain", "NotConvex",
-        "NotIsomorphism", "NotStrict", "NotStrictOnto", "OracleTooLarge",
-        "PhlError", "PreconditionFailed", "SizeOverflow", "UniverseMismatch",
+        "MalformedCertificate", "MalformedDocument", "NotADistributor",
+        "NotAPartialOrder", "NotAntichain", "NotConvex", "NotIsomorphism",
+        "NotStrict", "NotStrictOnto", "OracleTooLarge", "PhlError",
+        "PreconditionFailed", "SizeOverflow", "UniverseMismatch",
         "UnknownElement", "UnknownLabel",
     ),
     "evsystem": (

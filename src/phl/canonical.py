@@ -26,7 +26,6 @@ code.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from . import config
@@ -37,7 +36,6 @@ __all__ = [
     "canonical_form",
     "canonicalize",
     "is_isomorphic",
-    "all_isomorphisms",
     "iso_classes",
     "enumerate_posets",
     "enumerate_connected",
@@ -207,20 +205,6 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
     if p.n != q.n or p.relation_size != q.relation_size:
         return False
     return canonical_form(p) == canonical_form(q)
-
-
-def all_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
-    """Brute-force search for order isomorphisms p -> q (index tuples)."""
-    n = p.n
-    if n != q.n:
-        return
-    for perm in permutations(range(n)):
-        if all(
-            p.leq(i, j) == q.leq(perm[i], perm[j])
-            for i in range(n)
-            for j in range(n)
-        ):
-            yield perm
 
 
 def iso_classes(relations: Iterable[Sequence[int]]) -> dict[bytes, Poset]:

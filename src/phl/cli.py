@@ -87,10 +87,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--bound", type=int, default=None)
     sp.set_defaults(func=cmd_check_gle)
 
-    sp = sub.add_parser("witness", help="find a separating connected poset")
+    sp = sub.add_parser("witness", help="find a separating connected poset (no bound: "
+                        "one has at most max(|R|, |S|) elements)")
     sp.add_argument("--r", required=True)
     sp.add_argument("--s", required=True)
-    sp.add_argument("--bound", type=int, default=None)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("construct-sum", help="graft construction pipeline")
@@ -196,7 +196,7 @@ def cmd_witness(args) -> int:
     from .lovasz import display_name
     from .serialize import poset_to_doc
 
-    p, (cr, cs) = witness_search(_poset_arg(args.r), _poset_arg(args.s), args.bound)
+    p, (cr, cs) = witness_search(_poset_arg(args.r), _poset_arg(args.s))
     print(f"witness size={p.n} class={display_name(p)} counts=({cr},{cs})")
     print(json.dumps(poset_to_doc(p)))
     return 0

@@ -116,15 +116,6 @@ class MalformedCertificate(PhlError):
     pass
 
 
-class NoWitnessFound(PhlError):
-    """No separating poset found within the scanned bound.
-
-    For non-isomorphic inputs a witness must exist no later than the
-    larger of the two sizes, so with a bound at least that large this
-    error signals a bug rather than a mathematical possibility.
-    """
-
-
 class NotConvex(PhlError):
     def __init__(self, which: str, witness: tuple):
         super().__init__(f"{which} is not convex: {witness[0]} <= {witness[1]} <= {witness[2]} escapes")

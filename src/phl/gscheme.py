@@ -4,17 +4,20 @@ Write R <=_G S when every poset P admits at least as many strict maps
 into S as into R.  Strict-map counts against connected domains
 characterize the relation, so bounded_gle_check scans all connected
 classes up to a bound; a counterexample refutes R <=_G S outright,
-while a clean scan is evidence bounded by n_max.
+while a clean scan is evidence bounded by n_max.  witness_search needs
+no bound: non-isomorphic R and S are separated by a connected P of at
+most max(|R|, |S|) elements.
 
 A connected P has a connected image, which lies inside one component
 of the target, so #strict(P, R) is the sum of #strict(P, R_c) over the
 components R_c of R.  The scans of bounded_gle_check and witness_search
 use this: a component shared by R and S (equal relation rows), or
-repeated within one of them, is counted once per class and weighted by
-its multiplicity on each side, and a component whose longest chain is
-shorter than P's admits no strict map and is skipped.  Each component
-keeps its counts per class, in class order, from one scan to the next,
-so a repeated scan reads them instead of searching again.
+repeated within one of them, is counted once per P and weighted by its
+multiplicity on each side, and a component whose longest chain is
+shorter than P's admits no strict map and is skipped.  The counts into
+a component class, one per P in class order, stay in a bounded table
+keyed by the class's canonical code, where every later scan of a
+component of that class reads them.
 
 A certificate upgrades bounded evidence to a theorem.  Its ingredients:
 
@@ -43,17 +46,18 @@ failure.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import config
 from ._record import record
 from .canonical import canonical_form, enumerate_connected, is_isomorphic
 from .errors import (
+    BoundTooLarge,
     IndexOutOfRange,
     InternalInvariantViolation,
     InvalidParameter,
     MalformedCertificate,
-    NoWitnessFound,
     NotADistributor,
     NotStrictOnto,
 )
@@ -91,6 +95,22 @@ def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessRe
     return WitnessReport("holds_up_to_bound", n_max, checked, None)
 
 
+# Room for the 411 components and 297 classes of the posets up to 6 elements.
+_CODE_CACHE_SIZE = 1024
+_PROFILE_CACHE_SIZE = 512
+
+
+_component_code = lru_cache(maxsize=_CODE_CACHE_SIZE)(canonical_form)
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _profile(code: bytes) -> list[int]:
+    """Entry i holds #strict(P_i, c) for the i-th connected class P_i and any c
+    with this code, filled in class order by _strict_count_pairs.  At bound 7
+    a profile holds up to 1,947 ints, so the table holds up to classes x 1,947."""
+    return []
+
+
 def _strict_count_pairs(r: Poset, s: Poset, n_max: int):
     """Yield (p, #strict(p, r), #strict(p, s)) for each connected class p up to n_max,
     summed over the components of r and s as the module docstring describes."""
@@ -98,7 +118,9 @@ def _strict_count_pairs(r: Poset, s: Poset, n_max: int):
     for side, t in enumerate((r, s), 1):
         for c in t.component_posets:
             groups.setdefault(c._up, [c, 0, 0])[side] += 1
-    shared = [(c, c._strict_profile, c.longest_chain, mr, ms) for c, mr, ms in groups.values()]
+    # groups of one class share its profile: the first to reach entry i fills it
+    shared = [(c, _profile(_component_code(c)), c.longest_chain, mr, ms)
+              for c, mr, ms in groups.values()]
     for i, p in enumerate(enumerate_connected(n_max)):
         cr = cs = 0
         for c, profile, top, mr, ms in shared:
@@ -405,24 +427,26 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     return CertificateReport(n_max, None, tuple(ineqs), scan)
 
 
-def witness_search(r: Poset, s: Poset, n_max: int | None = None) -> tuple[Poset, tuple[int, int]]:
+def witness_search(r: Poset, s: Poset) -> tuple[Poset, tuple[int, int]]:
     """First connected poset separating the strict-map counts of r and s.
 
     The inputs must be non-isomorphic; a separating witness then exists
-    with at most max(|r|, |s|) elements, which is the default bound.  A
-    smaller bound may miss it (NoWitnessFound); at that bound or above,
-    finding none is a library bug (InternalInvariantViolation).
+    with at most max(|r|, |s|) elements, so the search scans the classes
+    up to that size, or up to the enumeration ceiling when that is
+    smaller.  Finding none within max(|r|, |s|) is a library bug
+    (InternalInvariantViolation); finding none within a smaller ceiling
+    raises BoundTooLarge.
     """
     require_nonempty(r, s)
     if is_isomorphic(r, s):
         raise InvalidParameter("witness search requires non-isomorphic posets")
     full = max(r.n, s.n)
-    n_max = config.check_bound(n_max, full)
-    for p, cr, cs in _strict_count_pairs(r, s, n_max):
+    ceiling = config.max_bound()
+    for p, cr, cs in _strict_count_pairs(r, s, min(full, ceiling)):
         if cr != cs:
             return p, (cr, cs)
-    if n_max >= full:
-        raise InternalInvariantViolation(
-            f"no separating poset within {n_max} elements, though max(|r|, |s|) = {full}"
-        )
-    raise NoWitnessFound(f"no separating poset within {n_max} elements; one exists within {full}")
+    if full > ceiling:
+        raise BoundTooLarge(full, ceiling)
+    raise InternalInvariantViolation(
+        f"no separating poset within max(|r|, |s|) = {full} elements"
+    )

@@ -115,7 +115,7 @@ class HomMap:
     """An arbitrary value map between two posets, classified on demand."""
 
     __slots__ = ("dom", "cod", "map", "_is_hom", "_is_strict", "_is_onto",
-                 "_is_embedding", "_is_automorphism", "_hash")
+                 "_is_embedding", "_hash")
 
     def __init__(self, dom: Poset, cod: Poset, mapping):
         mapping = tuple(mapping)
@@ -135,8 +135,6 @@ class HomMap:
     is_onto = _lazy_flag("_is_onto", lambda m: tuple_is_onto(m.cod, m.map))
     is_embedding = _lazy_flag(
         "_is_embedding", lambda m: tuple_is_embedding(m.dom, m.cod, m.map))
-    is_automorphism = _lazy_flag(
-        "_is_automorphism", lambda m: m.dom == m.cod and m.is_embedding and m.is_onto)
 
     @classmethod
     def from_labels(cls, dom: Poset, cod: Poset, assignment: dict) -> "HomMap":

@@ -175,12 +175,6 @@ class Poset:
             return (self,)
         return tuple(induced(self, order) for order in self.component_orders)
 
-    @cached_property
-    def _strict_profile(self) -> list[int]:
-        """Entry i holds #strict(P_i, self), P_i the i-th connected class;
-        filled in class order by gscheme."""
-        return []
-
     # -- map-search tables, built once per poset and read by homs --------
 
     @cached_property
@@ -279,16 +273,10 @@ def from_pairs(labels: Sequence[str], pairs: Iterable[tuple[str, str]], mode: st
     raises NotAPartialOrder naming the violated axiom and a witness.
     """
     labels = tuple(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     rows = [1 << i for i in range(n)]
-    pair_list = []
-    for a, b in pairs:
-        if a not in index:
-            raise UnknownLabel(a)
-        if b not in index:
-            raise UnknownLabel(b)
-        pair_list.append((index[a], index[b]))
+    carrier = Poset(labels, rows)  # checks the labels, and its index() the pair ends
+    pair_list = [(carrier.index(a), carrier.index(b)) for a, b in pairs]
 
     if mode == "covers":
         for i, j in pair_list:

@@ -3,13 +3,15 @@
 An unpruned copy kept for differential tests only: refinement, the
 class-slot backtrack that codes every class-respecting ordering not cut
 by the best code, and class generation that codes the extension of
-every class by every ideal and deduplicates the codes.
+every class by every ideal and deduplicates the codes.  Beside it, a
+brute-force isomorphism search over all permutations.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Sequence
+from itertools import permutations
+from typing import Iterator, Sequence
 
 from phl._bits import bits, down_rows, heights, mask_of
 
@@ -95,3 +97,13 @@ def class_table(n: int) -> tuple[tuple[bytes, tuple[int, ...]], ...]:
             code, rows = canonical(up)
             found.setdefault(code, rows)
     return tuple((c, tuple(found[c])) for c in sorted(found))
+
+
+def all_isomorphisms(p, q) -> Iterator[tuple[int, ...]]:
+    """Order isomorphisms p -> q as index tuples, by trying every permutation."""
+    n = p.n
+    if n != q.n:
+        return
+    for perm in permutations(range(n)):
+        if all(p.leq(i, j) == q.leq(perm[i], perm[j]) for i in range(n) for j in range(n)):
+            yield perm

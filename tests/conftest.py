@@ -16,6 +16,24 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+def clear_count_tables():
+    """Empty gscheme's tables of component codes and strict-count profiles."""
+    from phl import gscheme
+
+    gscheme._component_code.cache_clear()
+    gscheme._profile.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_count_tables():
+    """Every test starts and ends with empty strict-count tables, so a test
+    that asserts a cold fill does not depend on test order, and counts a
+    test patched reach no later test."""
+    clear_count_tables()
+    yield
+    clear_count_tables()
+
+
 @pytest.fixture
 def c2():
     return catalog("C", 2)

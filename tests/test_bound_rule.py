@@ -1,4 +1,4 @@
-"""One bound rule for the six bounded checks.
+"""One bound rule for the five bounded checks.
 
 Each check resolves its bound once through config.check_bound(n_max,
 default): None reads as the check's own default; a value that is not an
@@ -6,6 +6,7 @@ int, a bool, or an int below 1 raises InvalidParameter; a bound above the
 enumeration ceiling raises BoundTooLarge.  graft_pipeline alone reads the
 int 0 as "skip the redundant scan".  The CLI passes None when a bound
 option is left out, so it prints the bound the library picked.
+witness_search takes no bound, so it is not among them.
 """
 
 import json
@@ -23,13 +24,12 @@ from phl.gscheme import (
     bounded_gle_check,
     check_distributor,
     verify_certificate,
-    witness_search,
 )
 from phl.homs import HomMap
 from phl.poset import catalog
 from phl.serialize import certificate_to_doc
 
-N, C3, C4 = catalog("N"), catalog("C", 3), catalog("C", 4)
+N, C3 = catalog("N"), catalog("C", 3)
 TAU = HomMap.from_labels(N, C3, {"a": "1", "b": "0", "c": "2", "d": "1"})
 
 
@@ -41,7 +41,6 @@ def _scheme(n_max):
 # each check, called with a bound, and its documented default
 CHECKS = {
     "bounded_gle_check": (lambda b: bounded_gle_check(N, C3, b), config.DEFAULT_SCAN_BOUND),
-    "witness_search": (lambda b: witness_search(C4, N, b), 4),  # max(|r|, |s|)
     "check_distributor": (
         lambda b: check_distributor(DistributorSpec((TAU,), C3), b),
         config.DEFAULT_DISTRIBUTOR_BOUND,

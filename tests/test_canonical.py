@@ -13,7 +13,6 @@ from phl.canonical import (
     _classes_of_size,
     _extensions,
     _refined_classes,
-    all_isomorphisms,
     canonical_form,
     canonicalize,
     enumerate_connected,
@@ -25,6 +24,7 @@ from phl.errors import BoundTooLarge, InvalidParameter
 from phl.poset import Poset, catalog, direct_sum, is_connected
 from phl.randgen import random_poset
 
+from canonical_reference import all_isomorphisms
 from conftest import catalog_zoo, posets
 
 

@@ -8,8 +8,9 @@ from phl import construction, lovasz
 from phl.cli import main
 from phl.errors import InternalInvariantViolation
 from phl.examples import chain_graft_spec, zigzag_to_chain_certificate
+from phl.homs import count_maps
 from phl.poset import catalog, direct_sum
-from phl.serialize import certificate_to_doc, poset_from_doc
+from phl.serialize import certificate_to_doc, parse_catalog_ref, poset_from_doc
 
 
 def run(capsys, *argv):
@@ -203,6 +204,17 @@ def test_witness(capsys):
     first, second = out.strip().split("\n")
     assert first.startswith("witness size=")
     assert poset_from_doc(json.loads(second)).n >= 1
+
+
+def test_witness_past_the_ceiling_scans_up_to_it(capsys):
+    """max(|R|, |S|) = 9 exceeds the enumeration ceiling, but the witness is small."""
+    code, out, _ = run(capsys, "witness", "--r", "catalog:C9", "--s", "catalog:C8+A1")
+    assert code == 0
+    first, second = out.strip().split("\n")
+    assert first == "witness size=2 class=C2 counts=(36,28)"
+    p = poset_from_doc(json.loads(second))
+    r, s = parse_catalog_ref("C9"), parse_catalog_ref("C8+A1")
+    assert (count_maps("strict", p, r), count_maps("strict", p, s)) == (36, 28)
 
 
 def test_witness_isomorphic_inputs_exit_2(capsys):

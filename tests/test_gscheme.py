@@ -6,13 +6,13 @@ import threading
 import pytest
 
 from phl import gscheme
-from phl.canonical import enumerate_connected, enumerate_posets, is_isomorphic
+from phl.canonical import canonical_form, enumerate_connected, enumerate_posets, is_isomorphic
 from phl.cli import main
 from phl.errors import (
+    BoundTooLarge,
     InternalInvariantViolation,
     InvalidParameter,
     MalformedCertificate,
-    NoWitnessFound,
     NotADistributor,
     NotStrictOnto,
 )
@@ -30,9 +30,11 @@ from phl.gscheme import (
     witness_search,
 )
 from phl.homs import HomMap, brute_force_count, count_maps, enumerate_maps
-from phl.poset import Poset, catalog, direct_sum
+from phl.poset import Poset, catalog, direct_sum, from_pairs
 from phl.randgen import random_connected_poset, random_poset
 from phl.serialize import parse_catalog_ref
+
+from conftest import clear_count_tables
 
 
 def a1c3():
@@ -323,9 +325,14 @@ def test_repeated_scans_keep_one_plan_per_order_and_kind_class():
 
 
 def created_profiles(*targets):
-    """The strict-count profiles that scans created on the targets' components."""
-    comps = {id(c): c for t in targets for c in t.component_posets}
-    return [c.__dict__["_strict_profile"] for c in comps.values() if "_strict_profile" in c.__dict__]
+    """The strict-count profiles that scans created for the classes of the
+    targets' components (a class with none reads as empty and is left out)."""
+    codes = {canonical_form(c) for t in targets for c in t.component_posets}
+    return [prof for prof in map(gscheme._profile, codes) if prof]
+
+
+def no_search(*args):
+    raise AssertionError("a warm scan searched")
 
 
 def test_warm_scan_searches_nothing(monkeypatch):
@@ -346,15 +353,28 @@ def test_warm_scan_searches_nothing(monkeypatch):
     assert calls == [("strict", p, up) for p in enumerate_connected(5)
                      for up, top in rows.items() if p.longest_chain <= top]
 
-    def no_search(*args):
-        raise AssertionError("a warm scan searched")
-
     monkeypatch.setattr(gscheme, "count_maps", no_search)
     assert bounded_gle_check(r, s, 5) == report
     assert bounded_gle_check(r, s, 4).classes_checked == 15
-    for bound in range(1, 6):
-        p, (cr, cs) = witness_search(r, s, bound)
-        assert cr != cs
+    p, (cr, cs) = witness_search(r, s)
+    assert cr != cs
+
+
+def test_scans_share_profiles_by_class(monkeypatch):
+    """The counts a scan left for a component class serve every later scan
+    with a component of that class, on either side and under any labels."""
+    r = direct_sum(catalog("C", 2), catalog("A", 1))
+    s = direct_sum(r, catalog("A", 1))
+    assert bounded_gle_check(r, s, 6).holds
+    monkeypatch.setattr(gscheme, "count_maps", no_search)
+    report = bounded_gle_check(s, r, 5)
+    assert (report.verdict, report.classes_checked, report.witness[1]) == ("counterexample", 1, (4, 3))
+    # a 2-chain under other labels and other relation rows
+    c2 = from_pairs(["y", "x"], [("x", "y")])
+    assert c2._up != catalog("C", 2)._up
+    assert created_profiles(c2) == created_profiles(catalog("C", 2)) and len(created_profiles(c2)[0]) == 297
+    assert bounded_gle_check(c2, direct_sum(c2, catalog("A", 1)), 6).holds
+    assert bounded_gle_check(c2, catalog("C", 2), 6).holds
 
 
 def test_refuted_scan_fills_only_the_classes_it_checked(v3, lambda3):
@@ -387,6 +407,7 @@ def test_threads_filling_one_profile_agree():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(100):
+            clear_count_tables()
             r = direct_sum(catalog("C", 2), catalog("N"))
             s = direct_sum(r, catalog("A", 1))
             reports = []
@@ -421,16 +442,17 @@ def test_missing_witness_is_a_bug_only_at_full_bound(monkeypatch, capsys, n_pose
     # equal counts everywhere would make N and N2 isomorphic, so within
     # max(|r|, |s|) = 4 elements only a wrong count can miss a witness
     monkeypatch.setattr(gscheme, "count_maps", lambda kind, p, q: 1)
-    with pytest.raises(NoWitnessFound, match="within 3 elements; one exists within 4"):
-        witness_search(n_poset, crown, 3)
-    for bound in (None, 4, 5):
-        with pytest.raises(InternalInvariantViolation, match="within"):
-            witness_search(n_poset, crown, bound)
-    assert main(["witness", "--r", "catalog:N", "--s", "catalog:N2", "--bound", "3"]) == 2
+    with pytest.raises(InternalInvariantViolation, match="within max"):
+        witness_search(n_poset, crown)
     assert main(["witness", "--r", "catalog:N", "--s", "catalog:N2"]) == 4
     err = capsys.readouterr().err
-    assert "error: NoWitnessFound" in err
     assert "error: InternalInvariantViolation" in err and "bug in phl" in err
+    # a ceiling below max(|r|, |s|) may hide the witness: a refusal, not a bug
+    monkeypatch.setenv("PHL_MAX_BOUND", "3")
+    with pytest.raises(BoundTooLarge, match="bound 4 exceeds ceiling 3"):
+        witness_search(n_poset, crown)
+    assert main(["witness", "--r", "catalog:N", "--s", "catalog:N2"]) == 2
+    assert "error: BoundTooLarge" in capsys.readouterr().err
 
 
 # -- the component-additive scan against direct counting ----------------------
@@ -479,7 +501,9 @@ def scan_cases():
 
 
 def fresh(p):
-    """A copy of p that shares none of its caches, so its profiles start empty."""
+    """A copy of p that shares none of its caches; the count tables are
+    emptied too, so the profiles of its component classes start empty."""
+    clear_count_tables()
     return Poset(p.labels, p._up)
 
 

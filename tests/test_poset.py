@@ -64,6 +64,12 @@ def test_duplicate_and_unknown_labels():
         from_pairs(["x", "x"], [])
     with pytest.raises(UnknownLabel):
         from_pairs("ab", [("a", "z")])
+    # unhashable values are no labels either, and labels must be strings
+    for pairs in ([(["a"], "a")], [("a", ["a"])]):
+        with pytest.raises(UnknownLabel, match=r"\['a'\]"):
+            from_pairs(["a"], pairs)
+    with pytest.raises(InvalidParameter, match=r"labels must be strings, got \['a'\]"):
+        from_pairs([["a"]], [])
 
 
 @pytest.mark.parametrize("value", [["0"], {}, {"0"}, 0, None, b"0"], ids=repr)
