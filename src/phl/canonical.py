@@ -34,11 +34,14 @@ from .poset import Poset, is_connected
 
 __all__ = [
     "canonical_form",
+    "canonical_code",
+    "code_rows",
     "canonicalize",
     "is_isomorphic",
     "iso_classes",
     "enumerate_posets",
     "enumerate_connected",
+    "connected_of_size",
 ]
 
 
@@ -196,6 +199,18 @@ def canonical_form(p: Poset) -> bytes:
     return _canonical(p._up)[0]
 
 
+def canonical_code(up: Sequence[int]) -> bytes:
+    """canonical_form of the relation given by its up-rows, with no Poset built."""
+    return _canonical(up)[0]
+
+
+def code_rows(code: bytes) -> list[int]:
+    """The up-rows a code lists: those of canonicalize(p) for every p with this code."""
+    n = code[0]
+    flat = int.from_bytes(code[1:], "big")
+    return [flat >> (r * n) & ((1 << n) - 1) for r in range(n)]
+
+
 def canonicalize(p: Poset) -> Poset:
     """Isomorphic copy relabelled x0..x(n-1) along the canonical ordering."""
     return _relabelled(_canonical(p._up)[1])
@@ -235,7 +250,12 @@ def _classes_of_size(n: int) -> tuple[Poset, ...]:
 
 
 @cache
-def _connected_of_size(n: int) -> tuple[Poset, ...]:
+def connected_of_size(n: int) -> tuple[Poset, ...]:
+    """The connected classes of exactly n elements, in code order.
+
+    n is not checked against the enumeration ceiling: a caller checks its
+    bound once, as enumerate_connected does, and then reads each size here.
+    """
     return tuple(p for p in _classes_of_size(n) if is_connected(p))
 
 
@@ -277,4 +297,4 @@ def enumerate_connected(n_max: int) -> Iterator[Poset]:
     """Connected isomorphism classes with 1..n_max elements."""
     config.check_bound(n_max)
     for n in range(1, n_max + 1):
-        yield from _connected_of_size(n)
+        yield from connected_of_size(n)

@@ -11,13 +11,52 @@ most max(|R|, |S|) elements.
 A connected P has a connected image, which lies inside one component
 of the target, so #strict(P, R) is the sum of #strict(P, R_c) over the
 components R_c of R.  The scans of bounded_gle_check and witness_search
-use this: a component shared by R and S (equal relation rows), or
-repeated within one of them, is counted once per P and weighted by its
-multiplicity on each side, and a component whose longest chain is
+use this: a component class shared by R and S (equal canonical codes),
+or repeated within one of them, is counted once per P and weighted by
+its multiplicity on each side, and a component whose longest chain is
 shorter than P's admits no strict map and is skipped.  The counts into
-a component class, one per P in class order, stay in a bounded table
-keyed by the class's canonical code, where every later scan of a
-component of that class reads them.
+a component class, keyed by the index of P in class order, stay in a
+bounded table keyed by the class's canonical code, where every later
+scan of a component of that class reads them.
+
+The copy vector.  A strict map from a connected P factors uniquely as a
+strict surjection onto a connected class Q followed by an induced copy
+of Q, so #strict(P, T) is the sum over connected classes Q of
+#strict_onto(P, Q) * ind(Q, T), where ind(Q, T) counts the induced
+copies of Q in T (lovasz.induced_copies).  Let d = ind(., S) - ind(., R),
+and call its entries on the classes of m elements level m.  Components
+add their copies, so the scans group them by canonical code, and a
+group with as many components in R as in S drops out of d.  Level 1 is
+A1 alone and level 2 is C2 alone, so there d is the difference of the
+sizes and of the strict relation counts, with no copy looked up.  An
+image has at most |P| elements, so for every connected P
+
+    #strict(P, S) - #strict(P, R) = sum over |Q| <= |P| of #strict_onto(P, Q) * d(Q),
+
+and every #strict_onto is >= 0.  Three exact rules follow; neither
+scan's output changes by them.
+
+  1. If d >= 0 on every level up to n_max, every term is >= 0 for
+     |P| <= n_max, so no class up to n_max is a counterexample:
+     bounded_gle_check reports holds_up_to_bound, with classes_checked
+     the number of classes up to n_max, and counts nothing.
+  2. Let k be the first level with a nonzero entry.  For |P| < k every
+     term has d(Q) = 0, so no class below k separates R and S; both
+     scans start counting at level k, and classes_checked still counts
+     the classes below it.  The first counterexample is the full scan's.
+  3. A class at level k separates R and S, so witness_search's first
+     witness, counts and all, is the full scan's and lies at level k.
+     For |P| = |Q| a strict surjection is a bijection keeping every
+     relation of P, so #strict_onto(P, Q) > 0 needs Q to have at least
+     P's relations, with equality only for Q isomorphic to P, where it
+     is #aut(P) > 0.  Take Q0 at level k with d(Q0) != 0 and the most
+     relations among such; at P = Q0 the sum keeps only the term
+     #aut(Q0) * d(Q0), which is nonzero.
+
+A level that is not computed ends the search for k there, which keeps
+the rules exact: the copies of a component with more subsets than
+config.DEFAULT_SUBSET_CEILING are not walked, so such a pair starts
+counting at level 3 at the latest.
 
 A certificate upgrades bounded evidence to a theorem.  Its ingredients:
 
@@ -51,7 +90,7 @@ from typing import TYPE_CHECKING
 
 from . import config
 from ._record import record
-from .canonical import canonical_form, enumerate_connected, is_isomorphic
+from .canonical import canonical_form, connected_of_size, enumerate_connected, is_isomorphic
 from .errors import (
     BoundTooLarge,
     IndexOutOfRange,
@@ -62,7 +101,7 @@ from .errors import (
     NotStrictOnto,
 )
 from .homs import HomMap, count_maps, enumerate_maps, map_tuples
-from .lovasz import display_name, embeddable_connected
+from .lovasz import display_name, embeddable_connected, induced_copies
 from .poset import Poset, require_indices, require_nonempty
 
 if TYPE_CHECKING:
@@ -84,15 +123,20 @@ class WitnessReport:
 
 
 def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessReport:
-    """Scan connected classes up to n_max for a strict-count violation."""
+    """Scan connected classes up to n_max for a strict-count violation.
+
+    The copy vector settles a copy-dominated pair with no count (rule 1)
+    and lets any other scan start at its first nonzero level (rule 2).
+    """
     require_nonempty(r, s)
     n_max = config.check_bound(n_max, config.DEFAULT_SCAN_BOUND)
-    checked = 0
-    for p, cr, cs in _strict_count_pairs(r, s, n_max):
-        checked += 1
-        if cr > cs:
-            return WitnessReport("counterexample", n_max, checked, (p, (cr, cs)))
-    return WitnessReport("holds_up_to_bound", n_max, checked, None)
+    groups = _component_groups(r, s)
+    start = _start_level(r, s, groups, n_max, settle_dominated=True)
+    if start <= n_max:
+        for i, p, cr, cs in _strict_count_pairs(groups, start, n_max):
+            if cr > cs:
+                return WitnessReport("counterexample", n_max, i + 1, (p, (cr, cs)))
+    return WitnessReport("holds_up_to_bound", n_max, _classes_below(n_max + 1), None)
 
 
 # Room for the 411 components and 297 classes of the posets up to 6 elements.
@@ -104,34 +148,96 @@ _component_code = lru_cache(maxsize=_CODE_CACHE_SIZE)(canonical_form)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _profile(code: bytes) -> list[int]:
-    """Entry i holds #strict(P_i, c) for the i-th connected class P_i and any c
-    with this code, filled in class order by _strict_count_pairs.  At bound 7
-    a profile holds up to 1,947 ints, so the table holds up to classes x 1,947."""
-    return []
+def _profile(code: bytes) -> dict[int, int]:
+    """Key i holds #strict(P_i, c) for the i-th connected class P_i and any c
+    with this code, stored by _strict_count_pairs for the classes it reaches.
+    At bound 7 a profile holds up to 1,947 ints, so the table holds up to
+    classes x 1,947."""
+    return {}
 
 
-def _strict_count_pairs(r: Poset, s: Poset, n_max: int):
-    """Yield (p, #strict(p, r), #strict(p, s)) for each connected class p up to n_max,
-    summed over the components of r and s as the module docstring describes."""
-    groups: dict[tuple[int, ...], list] = {}  # rows -> [component, count in r, count in s]
+def _component_groups(r: Poset, s: Poset) -> dict[bytes, list]:
+    """Component classes of r and s: code -> [a component, count in r, count in s]."""
+    # equal relation rows first, so that each distinct component is looked up once
+    by_rows: dict[tuple[int, ...], list] = {}
     for side, t in enumerate((r, s), 1):
         for c in t.component_posets:
-            groups.setdefault(c._up, [c, 0, 0])[side] += 1
-    # groups of one class share its profile: the first to reach entry i fills it
-    shared = [(c, _profile(_component_code(c)), c.longest_chain, mr, ms)
-              for c, mr, ms in groups.values()]
-    for i, p in enumerate(enumerate_connected(n_max)):
-        cr = cs = 0
-        for c, profile, top, mr, ms in shared:
-            if i == len(profile):
-                # a store at i, not an append: scans of c in two threads may both fill entry i
-                profile[i:i + 1] = [count_maps("strict", p, c) if p.longest_chain <= top else 0]
-            k = profile[i]
-            if k:
-                cr += mr * k
-                cs += ms * k
-        yield p, cr, cs
+            by_rows.setdefault(c._up, [c, 0, 0])[side] += 1
+    groups: dict[bytes, list] = {}
+    for c, mr, ms in by_rows.values():
+        group = groups.setdefault(_component_code(c), [c, 0, 0])
+        group[1] += mr
+        group[2] += ms
+    return groups
+
+
+def _start_level(r: Poset, s: Poset, groups: dict[bytes, list], n_max: int,
+                 settle_dominated: bool) -> int:
+    """The size of the first classes whose counts can differ, by the copy
+    vector d of the module docstring: its first nonzero level (rule 2), or
+    n_max + 1 when no level up to n_max is nonzero or, with
+    settle_dominated, negative (rule 1).
+
+    Level 1 is A1 alone and level 2 is C2 alone, so their entries are the
+    differences of the sizes and of the strict relation counts.  Groups
+    with equal counts cancel, and a level above the largest component of
+    the others is zero.  When one of those components has more subsets
+    than config.DEFAULT_SUBSET_CEILING, its copies are not walked and the
+    search ends at level 3.
+    """
+    first = 0
+    weighted = None
+    for m in range(1, n_max + 1):
+        if m == 1:
+            values = (s.n - r.n,)
+        elif m == 2:
+            values = (s.relation_size - s.n - r.relation_size + r.n,)
+        else:
+            if weighted is None:
+                weighted = [(ms - mr, code, c.n) for code, (c, mr, ms) in groups.items() if mr != ms]
+                largest = max([n for _, _, n in weighted], default=0)
+                if 1 << largest > config.DEFAULT_SUBSET_CEILING:
+                    return first or m
+            if m > largest:
+                break
+            diff: dict[bytes, int] = {}
+            for w, code, n in weighted:
+                if n >= m:
+                    for q, copies in induced_copies(code, m).items():
+                        diff[q] = diff.get(q, 0) + w * copies
+            values = diff.values()
+        for v in values:
+            if v:
+                first = first or m
+                if v < 0 or not settle_dominated:
+                    return first
+    return n_max + 1
+
+
+def _classes_below(size: int) -> int:
+    """The number of connected classes of fewer than size elements."""
+    return sum(map(len, map(connected_of_size, range(1, size))))
+
+
+def _strict_count_pairs(groups: dict[bytes, list], start: int, n_max: int):
+    """Yield (i, p, #strict(p, r), #strict(p, s)) for the i-th connected class
+    p, over the classes of start to n_max elements, summed over the
+    component groups of r and s as the module docstring describes."""
+    shared = [(_profile(code), c, c.longest_chain, mr, ms) for code, (c, mr, ms) in groups.items()]
+    i = _classes_below(start)
+    for size in range(start, n_max + 1):
+        for p in connected_of_size(size):
+            cr = cs = 0
+            for profile, c, top, mr, ms in shared:
+                k = profile.get(i)
+                if k is None:
+                    # one store: threads that count the same class store the same value
+                    k = profile[i] = count_maps("strict", p, c) if p.longest_chain <= top else 0
+                if k:
+                    cr += mr * k
+                    cs += ms * k
+            yield i, p, cr, cs
+            i += 1
 
 
 def check_distributing(tau: HomMap) -> str:
@@ -330,7 +436,10 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     Returns a certified report only when all hypotheses verify, the
     exact rational inequality holds for every used target class, and
     the independent bounded scan finds no counterexample (the latter
-    failing after the former succeed would be a library bug).
+    failing after the former succeed would be a library bug).  On a
+    copy-dominated pair, one whose copy vector is >= 0 on every level
+    up to the bound, that scan is settled by the copy vector with no
+    count (rule 1 of the module docstring).
     """
     n_max = config.check_bound(n_max, config.DEFAULT_DISTRIBUTOR_BOUND)
     require_nonempty(cert.r, cert.s)
@@ -442,7 +551,10 @@ def witness_search(r: Poset, s: Poset) -> tuple[Poset, tuple[int, int]]:
         raise InvalidParameter("witness search requires non-isomorphic posets")
     full = max(r.n, s.n)
     ceiling = config.max_bound()
-    for p, cr, cs in _strict_count_pairs(r, s, min(full, ceiling)):
+    n_max = min(full, ceiling)
+    groups = _component_groups(r, s)
+    start = _start_level(r, s, groups, n_max, settle_dominated=False)
+    for _, p, cr, cs in _strict_count_pairs(groups, start, n_max):
         if cr != cs:
             return p, (cr, cs)
     if full > ceiling:

@@ -18,9 +18,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import config
-from ._bits import bits, mask_of, submasks
+from ._bits import bits, down_rows, mask_of
 from ._record import record
-from .canonical import canonical_form, iso_classes
+from .canonical import canonical_code, canonical_form, code_rows, iso_classes
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -28,7 +28,7 @@ from .errors import (
     UniverseMismatch,
 )
 from .homs import count_maps
-from .poset import Poset, _zigzag, is_connected, require_nonempty
+from .poset import Poset, is_connected, require_nonempty
 
 
 def embeddable_connected(*targets: Poset) -> MappingProxyType[bytes, Poset]:
@@ -36,9 +36,10 @@ def embeddable_connected(*targets: Poset) -> MappingProxyType[bytes, Poset]:
 
     Embeddings are exactly isomorphisms onto induced subposets, so the
     read-only table maps the code of each connected induced subposet of
-    a target to its canonical representative, in (size, code) order.  A
-    target component of c elements has 2^c subsets to scan; SizeOverflow
-    refuses more than config.DEFAULT_SUBSET_CEILING before any is scanned.
+    a target to its canonical representative, in (size, code) order: the
+    codes with a copy on some level of induced_copies.  A target
+    component of c elements has up to 2^c subsets to code; SizeOverflow
+    refuses more than config.DEFAULT_SUBSET_CEILING before any is coded.
     """
     require_nonempty(*targets)
     subsets = max(1 << len(order) for t in targets for order in t.component_orders)
@@ -49,15 +50,66 @@ def embeddable_connected(*targets: Poset) -> MappingProxyType[bytes, Poset]:
 
 @lru_cache(maxsize=16)
 def _embeddable_table(targets: tuple[Poset, ...]) -> dict[bytes, Poset]:
-    # a connected subset lies in one component and is its low bit's zigzag component
-    return iso_classes(
-        [mask_of(k for k, y in enumerate(members) if t.leq(x, y)) for x in members]
-        for t in targets
-        for component in t.component_orders
-        for m in submasks(mask_of(component))
-        if m and _zigzag(t, m, (m & -m).bit_length() - 1) == m
-        for members in (tuple(bits(m)),)
-    )
+    codes: set[bytes] = set()
+    for t in targets:
+        for c in t.component_posets:
+            code = canonical_form(c)
+            for size in range(1, c.n + 1):
+                codes.update(induced_copies(code, size))
+    return iso_classes(map(code_rows, codes))
+
+
+# Room for the component classes of the posets up to 6 elements, as gscheme's tables.
+_COPY_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_COPY_CACHE_SIZE)
+def _copy_levels(code: bytes) -> dict[int, tuple[dict[bytes, int], list[int]]]:
+    """Entry m, for the connected class c with this code: ind(Q, c) by Q's
+    code for the connected classes Q of m elements, and the masks of the
+    connected m-subsets of the rows the code lists."""
+    return {}
+
+
+def induced_copies(code: bytes, size: int) -> dict[bytes, int]:
+    """ind(Q, c), the number of induced copies of Q in c, by Q's code, for
+    every connected class Q of size elements with a copy in c, where c is
+    the connected class with the given code.
+
+    The code keys a bounded table of the levels found so far, so the
+    result must not be changed.  The levels are walked on the rows the
+    code lists.  A connected set of m + 1 elements is a connected set of m
+    elements plus a comparable element (take away a leaf of a spanning
+    tree), so each level grows from the one below and no 2^|c| walk
+    happens.
+    """
+    return _copy_level(code, size)[0]
+
+
+def _copy_level(code: bytes, size: int) -> tuple[dict[bytes, int], list[int]]:
+    levels = _copy_levels(code)
+    level = levels.get(size)
+    if level is not None:
+        return level
+    up = code_rows(code)
+    down = down_rows(up)
+    if size == 1:
+        masks = [1 << x for x in range(len(up))]
+    else:
+        grown = set()
+        for m in _copy_level(code, size - 1)[1]:
+            reach = 0
+            for x in bits(m):
+                reach |= up[x] | down[x]
+            grown.update(m | 1 << y for y in bits(reach & ~m))
+        masks = sorted(grown)
+    counts: dict[bytes, int] = {}
+    for m in masks:
+        members = tuple(bits(m))
+        q = canonical_code([mask_of(k for k, y in enumerate(members) if up[x] >> y & 1) for x in members])
+        counts[q] = counts.get(q, 0) + 1
+    # two threads may both grow this level: the first store wins, and both read it
+    return levels.setdefault(size, (counts, masks))
 
 
 def count_strict_onto_orbits(p: Poset, q: Poset) -> int:

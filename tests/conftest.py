@@ -17,11 +17,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 def clear_count_tables():
-    """Empty gscheme's tables of component codes and strict-count profiles."""
-    from phl import gscheme
+    """Empty gscheme's tables of component codes and strict-count profiles,
+    and lovasz's table of induced copies."""
+    from phl import gscheme, lovasz
 
     gscheme._component_code.cache_clear()
     gscheme._profile.cache_clear()
+    lovasz._copy_levels.cache_clear()
 
 
 @pytest.fixture(autouse=True)

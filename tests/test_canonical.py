@@ -13,8 +13,11 @@ from phl.canonical import (
     _classes_of_size,
     _extensions,
     _refined_classes,
+    canonical_code,
     canonical_form,
     canonicalize,
+    code_rows,
+    connected_of_size,
     enumerate_connected,
     enumerate_posets,
     is_isomorphic,
@@ -243,12 +246,27 @@ def test_generation_builds_one_poset_per_class(monkeypatch):
 
     monkeypatch.setattr(Poset, "__init__", counting_init)
     canonical._classes_of_size.cache_clear()
-    canonical._connected_of_size.cache_clear()
+    canonical.connected_of_size.cache_clear()
     try:
         classes = list(enumerate_posets(6))
         list(enumerate_connected(6))
     finally:
         canonical._classes_of_size.cache_clear()
-        canonical._connected_of_size.cache_clear()
+        canonical.connected_of_size.cache_clear()
     # one per class, and one for the empty base of size 0
     assert sorted(built) == [0] + [p.n for p in classes]
+
+
+@given(posets(max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_codes_of_rows_and_the_rows_of_codes(p):
+    code = canonical_form(p)
+    assert canonical_code(rows(p)) == code
+    assert code_rows(code) == rows(canonicalize(p))
+
+
+def test_connected_of_size_holds_the_levels_of_enumerate_connected():
+    levels = [connected_of_size(n) for n in range(1, 7)]
+    assert [len(level) for level in levels] == [1, 1, 3, 10, 44, 238]  # OEIS A000608
+    assert [p for level in levels for p in level] == list(enumerate_connected(6))
+    assert all(p.n == n for n, level in enumerate(levels, 1) for p in level)

@@ -127,4 +127,4 @@ def test_counts_at_size_8_match_known_values(monkeypatch):
     finally:
         # the size-8 table is large; later tests regenerate smaller sizes
         canonical._classes_of_size.cache_clear()
-        canonical._connected_of_size.cache_clear()
+        canonical.connected_of_size.cache_clear()

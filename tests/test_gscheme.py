@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from phl import gscheme
+from phl import gscheme, lovasz
 from phl.canonical import canonical_form, enumerate_connected, enumerate_posets, is_isomorphic
 from phl.cli import main
 from phl.errors import (
@@ -30,7 +30,7 @@ from phl.gscheme import (
     witness_search,
 )
 from phl.homs import HomMap, brute_force_count, count_maps, enumerate_maps
-from phl.poset import Poset, catalog, direct_sum, from_pairs
+from phl.poset import Poset, catalog, direct_sum, from_pairs, ordinal_sum
 from phl.randgen import random_connected_poset, random_poset
 from phl.serialize import parse_catalog_ref
 
@@ -306,8 +306,10 @@ def test_repeated_scans_keep_one_plan_per_order_and_kind_class():
     """The map-search plans a scan leaves on the class representatives are
     bounded: one per (search order, kind class), and a second scan over the
     same pair reads them without adding any."""
-    r = direct_sum(catalog("C", 2), catalog("A", 1))
-    s = direct_sum(r, catalog("A", 1))
+    # not copy-dominated and of different sizes, so the scan counts every class
+    r = catalog("N")
+    s = direct_sum(a1c3(), catalog("A", 1))
+    assert gscheme._start_level(r, s, gscheme._component_groups(r, s), 5, True) == 1
     classes = list(enumerate_connected(5))
     assert bounded_gle_check(r, s, 5).holds
     after_first = [dict(p._plans) for p in classes]
@@ -335,11 +337,20 @@ def no_search(*args):
     raise AssertionError("a warm scan searched")
 
 
+def n_pair():
+    """C2 + N against C2 + A1 + C3: equal copy vectors on levels 1 and 2,
+    and on level 3 one copy of C3 against one each of V3 and Lambda3, so
+    the scans start counting at level 3 (2 classes below it); the pair
+    holds, as N <=_G A1 + C3 does."""
+    c2 = catalog("C", 2)
+    return direct_sum(c2, catalog("N")), direct_sum(c2, a1c3())
+
+
 def test_warm_scan_searches_nothing(monkeypatch):
-    """A cold scan counts each class once per distinct component whose chain
-    fits, in class order; a repeat within the filled prefix counts nothing."""
-    r = direct_sum(catalog("C", 2), catalog("A", 1))
-    s = direct_sum(r, catalog("N"))
+    """A cold scan counts each class from the start level on once per
+    component class whose chain fits, in class order; a repeat counts
+    nothing, and neither does a copy-dominated pair."""
+    r, s = n_pair()
     calls = []
 
     def recording(kind, p, q):
@@ -348,68 +359,70 @@ def test_warm_scan_searches_nothing(monkeypatch):
 
     monkeypatch.setattr(gscheme, "count_maps", recording)
     report = bounded_gle_check(r, s, 5)
-    assert report.holds
+    assert (report.verdict, report.classes_checked) == ("holds_up_to_bound", 59)
     rows = {c._up: c.longest_chain for t in (r, s) for c in t.component_posets}
-    assert calls == [("strict", p, up) for p in enumerate_connected(5)
+    assert calls == [("strict", p, up) for p in list(enumerate_connected(5))[2:]
                      for up, top in rows.items() if p.longest_chain <= top]
 
     monkeypatch.setattr(gscheme, "count_maps", no_search)
     assert bounded_gle_check(r, s, 5) == report
     assert bounded_gle_check(r, s, 4).classes_checked == 15
     p, (cr, cs) = witness_search(r, s)
-    assert cr != cs
+    assert cr != cs and p.n == 3
+    # S = R + X is copy-dominated: it holds with every class checked and none counted
+    report = bounded_gle_check(r, direct_sum(r, catalog("V", 3)), 6)
+    assert (report.verdict, report.classes_checked) == ("holds_up_to_bound", 297)
 
 
 def test_scans_share_profiles_by_class(monkeypatch):
     """The counts a scan left for a component class serve every later scan
     with a component of that class, on either side and under any labels."""
-    r = direct_sum(catalog("C", 2), catalog("A", 1))
-    s = direct_sum(r, catalog("A", 1))
+    r, s = n_pair()
     assert bounded_gle_check(r, s, 6).holds
     monkeypatch.setattr(gscheme, "count_maps", no_search)
     report = bounded_gle_check(s, r, 5)
-    assert (report.verdict, report.classes_checked, report.witness[1]) == ("counterexample", 1, (4, 3))
+    assert (report.verdict, report.classes_checked, report.witness[1]) == ("counterexample", 5, (1, 0))
     # a 2-chain under other labels and other relation rows
     c2 = from_pairs(["y", "x"], [("x", "y")])
     assert c2._up != catalog("C", 2)._up
-    assert created_profiles(c2) == created_profiles(catalog("C", 2)) and len(created_profiles(c2)[0]) == 297
-    assert bounded_gle_check(c2, direct_sum(c2, catalog("A", 1)), 6).holds
-    assert bounded_gle_check(c2, catalog("C", 2), 6).holds
+    assert created_profiles(c2) == created_profiles(catalog("C", 2))
+    assert set(created_profiles(c2)[0]) == set(range(2, 297))
+    assert bounded_gle_check(direct_sum(c2, catalog("N")), direct_sum(c2, a1c3()), 6).holds
 
 
 def test_refuted_scan_fills_only_the_classes_it_checked(v3, lambda3):
-    for r, s in ((v3, lambda3), (catalog("N2"), direct_sum(catalog("A", 2), catalog("C", 2)))):
+    # V3 and Lambda3 first differ in copies on level 3, N2 and A2 + C2 on level 2
+    for r, s, start in ((v3, lambda3, 3), (catalog("N2"), direct_sum(catalog("A", 2), catalog("C", 2)), 2)):
         report = bounded_gle_check(r, s, 6)
-        assert not report.holds and report.classes_checked > 1
+        below = len(list(enumerate_connected(start - 1)))
+        assert not report.holds and report.classes_checked > below
         profiles = created_profiles(r, s)
-        assert profiles and all(len(prof) == report.classes_checked for prof in profiles)
+        assert profiles and all(set(prof) == set(range(below, report.classes_checked))
+                                for prof in profiles)
 
 
 def test_profiles_grow_with_the_bound_only():
-    r = direct_sum(catalog("C", 2), catalog("A", 1))
-    s = direct_sum(r, catalog("A", 1))
+    r, s = catalog("N"), a1c3()
     assert bounded_gle_check(r, s, 5).holds
-    assert {len(prof) for prof in created_profiles(r, s)} == {59}
+    assert {frozenset(prof) for prof in created_profiles(r, s)} == {frozenset(range(2, 59))}
     assert bounded_gle_check(r, s, 6).holds
     assert bounded_gle_check(r, s, 5).holds
-    assert {len(prof) for prof in created_profiles(r, s)} == {297}
-    r = direct_sum(catalog("C", 2), catalog("A", 1))
-    s = direct_sum(r, catalog("A", 1))
+    assert {frozenset(prof) for prof in created_profiles(r, s)} == {frozenset(range(2, 297))}
+    r, s = catalog("N"), a1c3()
     assert bounded_gle_check(r, s, 6).holds
     assert bounded_gle_check(r, s, 5).holds
-    assert {len(prof) for prof in created_profiles(r, s)} == {297}
+    assert {frozenset(prof) for prof in created_profiles(r, s)} == {frozenset(range(2, 297))}
 
 
 def test_threads_filling_one_profile_agree():
     """Scans of one pair in more threads than cores, switching often, leave
-    one entry per class and the verdict of a single scan."""
+    one entry per class counted and the verdict of a single scan."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(100):
             clear_count_tables()
-            r = direct_sum(catalog("C", 2), catalog("N"))
-            s = direct_sum(r, catalog("A", 1))
+            r, s = n_pair()
             reports = []
             threads = [threading.Thread(target=lambda: reports.append(bounded_gle_check(r, s, 5)))
                        for _ in range(8)]
@@ -419,7 +432,7 @@ def test_threads_filling_one_profile_agree():
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert {(rep.verdict, rep.classes_checked) for rep in reports} == {("holds_up_to_bound", 59)}
-            assert {len(prof) for prof in created_profiles(r, s)} == {59}
+            assert {frozenset(prof) for prof in created_profiles(r, s)} == {frozenset(range(2, 59))}
     finally:
         sys.setswitchinterval(interval)
 
@@ -529,18 +542,82 @@ def test_strict_scans_match_direct_counting():
     assert verdicts == {"holds_up_to_bound", "counterexample"}
 
 
+def test_copy_vector_skips_only_equal_counts_on_all_pairs_up_to_size_5():
+    """Rules 1 to 3 of gscheme against direct counting, on the 7,482 ordered
+    pairs of distinct posets up to 5 elements (OEIS A000112) at bound 5."""
+    posets = list(enumerate_posets(5))
+    classes = list(enumerate_connected(5))
+    counts = [[count_maps("strict", p, t) for p in classes] for t in posets]
+    below = [len(list(enumerate_connected(k - 1))) if k > 1 else 0 for k in range(7)]
+    pairs = dominated = 0
+    for r, counts_r in zip(posets, counts):
+        for s, counts_s in zip(posets, counts):
+            if r is s:
+                continue
+            pairs += 1
+            groups = gscheme._component_groups(r, s)
+            start = gscheme._start_level(r, s, groups, 5, settle_dominated=True)
+            if start > 5:
+                # rule 1: no count is made, and the pair holds by direct counting
+                dominated += 1
+                assert all(cr <= cs for cr, cs in zip(counts_r, counts_s)), (r, s)
+            else:
+                # rule 2: no class below the start level separates the counts
+                assert counts_r[:below[start]] == counts_s[:below[start]], (r, s)
+            # rule 3: the first separating class lies on the first nonzero level
+            k = gscheme._start_level(r, s, groups, 5, settle_dominated=False)
+            first = next(i for i, (cr, cs) in enumerate(zip(counts_r, counts_s)) if cr != cs)
+            assert below[k] <= first < below[k + 1], (r, s)
+            reference = next(((i + 1, (classes[i], (cr, cs)))
+                              for i, (cr, cs) in enumerate(zip(counts_r, counts_s)) if cr > cs),
+                             (59, None))
+            report = bounded_gle_check(r, s, 5)
+            assert (report.classes_checked, report.witness) == reference, (r, s)
+    assert (pairs, dominated) == (7482, 1594)
+
+
+def test_a_dropped_copy_changes_a_verdict(monkeypatch):
+    """The scans trust the copy table: with one copy of V3 dropped from V3's
+    table, the refuted pair (V3, Lambda3) reads as copy-dominated, and the
+    scan no longer agrees with direct counting."""
+    v3, lambda3 = catalog("V", 3), catalog("Lambda", 3)
+    expected = reference_scan(v3, lambda3, 5, operator.gt)
+    report = bounded_gle_check(v3, lambda3, 5)
+    assert (report.classes_checked, report.witness) == expected
+    clear_count_tables()
+    code = canonical_form(v3)
+    level = lovasz.induced_copies(code, 3)
+    monkeypatch.setitem(level, code, level[code] - 1)
+    report = bounded_gle_check(v3, lambda3, 5)
+    assert report.holds and (report.classes_checked, report.witness) != expected
+
+
+def test_a_component_past_the_subset_ceiling_starts_at_level_3():
+    """Two 13-element components of equal size and relation count: their
+    2^13 subsets are not walked, so the scans count from level 3 on."""
+    top, bottom = catalog("A", 2), catalog("A", 2)
+    r = ordinal_sum(catalog("C", 11), top)
+    s = ordinal_sum(bottom, catalog("C", 11))
+    assert (r.n, r.relation_size) == (s.n, s.relation_size)
+    assert gscheme._start_level(r, s, gscheme._component_groups(r, s), 4, True) == 3
+    report = bounded_gle_check(r, s, 4)
+    assert (report.classes_checked, report.witness) == reference_scan(r, s, 4, operator.gt)
+    assert witness_search(r, s) == reference_scan(r, s, 4, operator.ne)[1]
+
+
 def test_interleaved_scans_share_one_profile():
-    """Two scans of one pair advanced in lockstep, the second started level
-    with the first or ten classes behind it, read the counts the first
+    """Two count walks of one pair advanced in lockstep, the second started
+    level with the first or ten classes behind it, read the counts the first
     filled and yield the direct counts."""
     for lead in (0, 10):
         r = direct_sum(catalog("N"), catalog("C", 2))
         s = direct_sum(catalog("N"), catalog("V", 3))
-        expected = [(p, count_maps("strict", p, r), count_maps("strict", p, s))
-                    for p in enumerate_connected(5)]
-        ahead = gscheme._strict_count_pairs(r, s, 5)
+        expected = [(i, p, count_maps("strict", p, r), count_maps("strict", p, s))
+                    for i, p in enumerate(enumerate_connected(5))]
+        groups = gscheme._component_groups(r, s)
+        ahead = gscheme._strict_count_pairs(groups, 1, 5)
         first = [next(ahead) for _ in range(lead)]
-        behind = gscheme._strict_count_pairs(r, s, 5)
+        behind = gscheme._strict_count_pairs(groups, 1, 5)
         pairs = list(zip(ahead, behind))
         assert first + [a for a, _ in pairs] == expected
         assert [b for _, b in pairs] == expected[:len(pairs)]

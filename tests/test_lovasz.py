@@ -5,6 +5,7 @@ import pytest
 from phl.canonical import (
     canonical_form,
     canonicalize,
+    enumerate_connected,
     enumerate_posets,
     is_isomorphic,
     iso_classes,
@@ -18,6 +19,7 @@ from phl.lovasz import (
     embeddable_connected,
     factor_matrices,
     image_class_count,
+    induced_copies,
     verify_factorization,
 )
 from phl.poset import catalog, direct_sum, from_pairs, induced
@@ -217,6 +219,23 @@ def test_embeddable_table_matches_the_all_subsets_definition():
         assert list(table.items()) == list(expected.items())
 
 
+def test_induced_copies_count_embeddings_up_to_automorphism():
+    """ind(Q, c) = #emb(Q, c) / #aut(Q) on every level, for every connected
+    class c up to 5 elements and a few larger random ones."""
+    rng = random.Random(33)
+    components = list(enumerate_connected(5)) + [random_connected_poset(rng, 7, 0.3) for _ in range(4)]
+    classes = list(enumerate_connected(6))
+    for c in components:
+        code = canonical_form(c)
+        for size in range(1, 7):
+            expected = {}
+            for q in classes:
+                emb = count_maps("emb", q, c) if q.n == size else 0
+                if emb:
+                    expected[canonical_form(q)] = emb // count_maps("aut", q, q)
+            assert induced_copies(code, size) == expected, (c, size)
+
+
 def test_embeddable_table_cannot_be_changed_through_a_result(n_poset):
     # the tables are cached, so a result a caller changed would be the next call's
     table = embeddable_connected(n_poset)
@@ -238,10 +257,10 @@ def test_embeddable_table_cannot_be_changed_through_a_result(n_poset):
 def test_embeddable_refuses_a_component_with_too_many_subsets(monkeypatch):
     from phl import config, lovasz
 
-    def no_scan(mask):
+    def no_scan(*args):
         raise AssertionError("a subset was scanned")
 
-    monkeypatch.setattr(lovasz, "submasks", no_scan)
+    monkeypatch.setattr(lovasz, "_copy_level", no_scan)
     with pytest.raises(SizeOverflow) as exc:
         embeddable_connected(catalog("A", 1), catalog("C", 25))
     assert (exc.value.size, exc.value.ceiling) == (2**25, config.DEFAULT_SUBSET_CEILING)
