@@ -12,7 +12,7 @@ kept profiles emptied before the first scan: first cold, then warm from
 the counts the first scan kept.
 """
 
-from phl import gscheme, lovasz
+from phl import lovasz
 from phl.canonical import enumerate_connected, enumerate_posets
 from phl.gscheme import bounded_gle_check
 from phl.homs import count_maps
@@ -43,9 +43,7 @@ def test_bounded_scan_matches_the_definition_on_all_pairs_up_to_size_5():
             expected = reference(counts_r, counts_s, classes)
             holding += expected[0] == "holds_up_to_bound"
             rc, sc = Poset(r.labels, r._up), Poset(s.labels, s._up)
-            gscheme._component_code.cache_clear()
-            gscheme._profile.cache_clear()
-            lovasz._copy_levels.cache_clear()
+            lovasz._class_data.cache_clear()
             for _ in ("cold", "warm"):
                 report = bounded_gle_check(rc, sc, BOUND)
                 assert (report.verdict, report.classes_checked, report.witness) == expected, (r, s)

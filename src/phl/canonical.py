@@ -39,6 +39,7 @@ __all__ = [
     "canonicalize",
     "is_isomorphic",
     "iso_classes",
+    "representatives",
     "enumerate_posets",
     "enumerate_connected",
     "connected_of_size",
@@ -195,8 +196,12 @@ def _relabelled(rows: list[int]) -> Poset:
 
 
 def canonical_form(p: Poset) -> bytes:
-    """Canonical relation code; equal codes characterize isomorphism."""
-    return _canonical(p._up)[0]
+    """Canonical relation code; equal codes characterize isomorphism.  Kept on
+    p once computed, as a cached_property is; a pickled or copied p has none."""
+    code = p.__dict__.get("_code")
+    if code is None:
+        code = p.__dict__["_code"] = _canonical(p._up)[0]
+    return code
 
 
 def canonical_code(up: Sequence[int]) -> bytes:
@@ -223,22 +228,16 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def iso_classes(relations: Iterable[Sequence[int]]) -> dict[bytes, Poset]:
-    """Isomorphism classes of the given relations, in (size, code) order.
-
-    Each relation, a sequence of up-rows, is coded once, and each class's
-    code maps to its canonical representative.  It serves relations that
-    come from outside class generation, such as the connected induced
-    subposets of lovasz.embeddable_connected.
-    """
-    return _class_table(map(_canonical, relations))
+    """Isomorphism classes of the given relations, in (size, code) order: each
+    relation, a sequence of up-rows, is coded once, and each class's code
+    maps to its canonical representative."""
+    return representatives(map(canonical_code, relations))
 
 
-def _class_table(coded: Iterable[tuple[bytes, list[int]]]) -> dict[bytes, Poset]:
-    """The first rows per code, relabelled, in code order: byte 0 is the size."""
-    found: dict[bytes, list[int]] = {}
-    for code, rows in coded:
-        found.setdefault(code, rows)
-    return {c: _relabelled(found[c]) for c in sorted(found)}
+def representatives(codes: Iterable[bytes]) -> dict[bytes, Poset]:
+    """The canonical representative of each distinct code, built from the
+    rows the code lists, in code order: byte 0 is the size."""
+    return {c: _relabelled(code_rows(c)) for c in sorted(set(codes))}
 
 
 @cache
@@ -246,7 +245,7 @@ def _classes_of_size(n: int) -> tuple[Poset, ...]:
     """All isomorphism classes of size n as canonical representatives."""
     if n == 0:
         return (Poset((), ()),)
-    return tuple(_class_table(_canonical(up, cls) for up, cls in _extensions(n)).values())
+    return tuple(representatives(_canonical(up, cls)[0] for up, cls in _extensions(n)).values())
 
 
 @cache

@@ -15,9 +15,10 @@ use this: a component class shared by R and S (equal canonical codes),
 or repeated within one of them, is counted once per P and weighted by
 its multiplicity on each side, and a component whose longest chain is
 shorter than P's admits no strict map and is skipped.  The counts into
-a component class, keyed by the index of P in class order, stay in a
-bounded table keyed by the class's canonical code, where every later
-scan of a component of that class reads them.
+a component class, keyed by the index of P in class order, are its
+profile (lovasz.strict_profile), kept beside its copy levels in one
+bounded table keyed by code, where every later scan of a component of
+that class reads them.
 
 The copy vector.  A strict map from a connected P factors uniquely as a
 strict surjection onto a connected class Q followed by an induced copy
@@ -85,7 +86,6 @@ failure.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import config
@@ -101,7 +101,7 @@ from .errors import (
     NotStrictOnto,
 )
 from .homs import HomMap, count_maps, enumerate_maps, map_tuples
-from .lovasz import display_name, embeddable_connected, induced_copies
+from .lovasz import display_name, embeddable_connected, induced_copies, strict_profile
 from .poset import Poset, require_indices, require_nonempty
 
 if TYPE_CHECKING:
@@ -139,35 +139,12 @@ def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessRe
     return WitnessReport("holds_up_to_bound", n_max, _classes_below(n_max + 1), None)
 
 
-# Room for the 411 components and 297 classes of the posets up to 6 elements.
-_CODE_CACHE_SIZE = 1024
-_PROFILE_CACHE_SIZE = 512
-
-
-_component_code = lru_cache(maxsize=_CODE_CACHE_SIZE)(canonical_form)
-
-
-@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _profile(code: bytes) -> dict[int, int]:
-    """Key i holds #strict(P_i, c) for the i-th connected class P_i and any c
-    with this code, stored by _strict_count_pairs for the classes it reaches.
-    At bound 7 a profile holds up to 1,947 ints, so the table holds up to
-    classes x 1,947."""
-    return {}
-
-
 def _component_groups(r: Poset, s: Poset) -> dict[bytes, list]:
     """Component classes of r and s: code -> [a component, count in r, count in s]."""
-    # equal relation rows first, so that each distinct component is looked up once
-    by_rows: dict[tuple[int, ...], list] = {}
+    groups: dict[bytes, list] = {}
     for side, t in enumerate((r, s), 1):
         for c in t.component_posets:
-            by_rows.setdefault(c._up, [c, 0, 0])[side] += 1
-    groups: dict[bytes, list] = {}
-    for c, mr, ms in by_rows.values():
-        group = groups.setdefault(_component_code(c), [c, 0, 0])
-        group[1] += mr
-        group[2] += ms
+            groups.setdefault(canonical_form(c), [c, 0, 0])[side] += 1
     return groups
 
 
@@ -214,16 +191,23 @@ def _start_level(r: Poset, s: Poset, groups: dict[bytes, list], n_max: int,
     return n_max + 1
 
 
+# OEIS A000608: the connected classes of 1 to 9 elements.
+_CONNECTED_COUNTS = (1, 1, 3, 10, 44, 238, 1650, 14512, 163341)
+
+
 def _classes_below(size: int) -> int:
-    """The number of connected classes of fewer than size elements."""
-    return sum(map(len, map(connected_of_size, range(1, size))))
+    """The number of connected classes of fewer than size elements, read
+    from A000608 where it reaches and generated past it."""
+    known = min(size - 1, len(_CONNECTED_COUNTS))
+    generated = map(len, map(connected_of_size, range(known + 1, size)))
+    return sum(_CONNECTED_COUNTS[:known]) + sum(generated)
 
 
 def _strict_count_pairs(groups: dict[bytes, list], start: int, n_max: int):
     """Yield (i, p, #strict(p, r), #strict(p, s)) for the i-th connected class
     p, over the classes of start to n_max elements, summed over the
     component groups of r and s as the module docstring describes."""
-    shared = [(_profile(code), c, c.longest_chain, mr, ms) for code, (c, mr, ms) in groups.items()]
+    shared = [(strict_profile(code), c, c.longest_chain, mr, ms) for code, (c, mr, ms) in groups.items()]
     i = _classes_below(start)
     for size in range(start, n_max + 1):
         for p in connected_of_size(size):
@@ -547,12 +531,13 @@ def witness_search(r: Poset, s: Poset) -> tuple[Poset, tuple[int, int]]:
     raises BoundTooLarge.
     """
     require_nonempty(r, s)
-    if is_isomorphic(r, s):
+    groups = _component_groups(r, s)
+    # isomorphic exactly when every component class occurs as often in r as in s
+    if all(mr == ms for _, mr, ms in groups.values()):
         raise InvalidParameter("witness search requires non-isomorphic posets")
     full = max(r.n, s.n)
     ceiling = config.max_bound()
     n_max = min(full, ceiling)
-    groups = _component_groups(r, s)
     start = _start_level(r, s, groups, n_max, settle_dominated=False)
     for _, p, cr, cs in _strict_count_pairs(groups, start, n_max):
         if cr != cs:

@@ -10,6 +10,10 @@ The automorphism group of Q acts freely on strict surjections onto Q,
 making the quotient integral.  factor_matrices assembles the three
 count matrices over a shared row universe and checks the identity
 column by column; verify_factorization checks a single (P, T) pair.
+
+One bounded table keyed by canonical code keeps the data of each
+connected class: its induced copies by level (induced_copies) and its
+strict-count profile (strict_profile), which gscheme's scans fill.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from types import MappingProxyType
 from . import config
 from ._bits import bits, down_rows, mask_of
 from ._record import record
-from .canonical import canonical_code, canonical_form, code_rows, iso_classes
+from .canonical import canonical_code, canonical_form, code_rows, representatives
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -56,19 +60,27 @@ def _embeddable_table(targets: tuple[Poset, ...]) -> dict[bytes, Poset]:
             code = canonical_form(c)
             for size in range(1, c.n + 1):
                 codes.update(induced_copies(code, size))
-    return iso_classes(map(code_rows, codes))
+    return representatives(codes)
 
 
-# Room for the component classes of the posets up to 6 elements, as gscheme's tables.
-_COPY_CACHE_SIZE = 512
+# Room for the 297 connected classes up to 6 elements.
+_CLASS_CACHE_SIZE = 512
 
 
-@lru_cache(maxsize=_COPY_CACHE_SIZE)
-def _copy_levels(code: bytes) -> dict[int, tuple[dict[bytes, int], list[int]]]:
-    """Entry m, for the connected class c with this code: ind(Q, c) by Q's
-    code for the connected classes Q of m elements, and the masks of the
-    connected m-subsets of the rows the code lists."""
-    return {}
+@lru_cache(maxsize=_CLASS_CACHE_SIZE)
+def _class_data(code: bytes) -> tuple[dict[int, tuple[dict[bytes, int], list[int]]], dict[int, int]]:
+    """For the connected class c with this code: its copy levels, where entry
+    m holds ind(Q, c) by Q's code for the classes Q of m elements and the
+    masks of the connected m-subsets of the rows the code lists; and its
+    strict-count profile, where key i holds #strict(P_i, c) for the i-th
+    connected class P_i (up to 1,947 keys at bound 7)."""
+    return {}, {}
+
+
+def strict_profile(code: bytes) -> dict[int, int]:
+    """The strict-count profile of the connected class with this code, kept
+    in the table of its copy levels; a scan stores each count once."""
+    return _class_data(code)[1]
 
 
 def induced_copies(code: bytes, size: int) -> dict[bytes, int]:
@@ -87,7 +99,7 @@ def induced_copies(code: bytes, size: int) -> dict[bytes, int]:
 
 
 def _copy_level(code: bytes, size: int) -> tuple[dict[bytes, int], list[int]]:
-    levels = _copy_levels(code)
+    levels = _class_data(code)[0]
     level = levels.get(size)
     if level is not None:
         return level

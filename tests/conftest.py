@@ -17,13 +17,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 def clear_count_tables():
-    """Empty gscheme's tables of component codes and strict-count profiles,
-    and lovasz's table of induced copies."""
-    from phl import gscheme, lovasz
+    """Empty lovasz's table of per-class data: induced copies and
+    strict-count profiles."""
+    from phl import lovasz
 
-    gscheme._component_code.cache_clear()
-    gscheme._profile.cache_clear()
-    lovasz._copy_levels.cache_clear()
+    lovasz._class_data.cache_clear()
 
 
 @pytest.fixture(autouse=True)

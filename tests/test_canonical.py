@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from itertools import permutations
 
@@ -22,6 +24,7 @@ from phl.canonical import (
     enumerate_posets,
     is_isomorphic,
     iso_classes,
+    representatives,
 )
 from phl.errors import BoundTooLarge, InvalidParameter
 from phl.poset import Poset, catalog, direct_sum, is_connected
@@ -182,6 +185,41 @@ def test_class_table_of_shuffled_copies_is_the_enumeration():
     assert len(table) == len(classes)
     assert tuple(table.values()) == tuple(classes)
     assert tuple(table) == tuple(canonical_form(p) for p in classes)
+
+
+def test_representatives_of_codes_are_the_class_table():
+    classes = list(enumerate_posets(5))
+    codes = [canonical_form(p) for p in reversed(classes)]
+    table = representatives(codes + codes[:7])
+    assert table == iso_classes(map(code_rows, codes))
+    assert tuple(table.values()) == tuple(classes)
+
+
+def test_canonical_form_codes_each_poset_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _canonical(*args)
+
+    monkeypatch.setattr(canonical, "_canonical", counted)
+    n = catalog("N")
+    p, q = Poset(n.labels, rows(n)), shuffled_copy(n, 3)
+    code = canonical_form(p)
+    assert [canonical_form(p), canonical_form(p), canonical_form(q)] == [code] * 3
+    assert is_isomorphic(p, q)
+    # once per Poset object, not per relation: q is another object
+    assert len(calls) == 2
+
+
+def test_copied_posets_recompute_an_equal_code():
+    n = catalog("N")
+    p = Poset(n.labels, rows(n))
+    code = canonical_form(p)
+    for other in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert other == p and other is not p
+        assert "_code" not in other.__dict__
+        assert canonical_form(other) == code
 
 
 def test_connected_enumeration_is_the_connected_slice():

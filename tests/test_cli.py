@@ -99,13 +99,13 @@ def test_matrix_csv(capsys):
 def test_matrix_builds_the_class_table_once(capsys, monkeypatch):
     from phl import lovasz
 
-    table, builds = lovasz.iso_classes, []
+    table, builds = lovasz.representatives, []
 
-    def counting_table(relations):
+    def counting_table(codes):
         builds.append(1)
-        return table(relations)
+        return table(codes)
 
-    monkeypatch.setattr(lovasz, "iso_classes", counting_table)
+    monkeypatch.setattr(lovasz, "representatives", counting_table)
     lovasz._embeddable_table.cache_clear()
     code, _, _ = run(capsys, "matrix", "--targets", "catalog:N", "catalog:A1+C3")
     lovasz._embeddable_table.cache_clear()

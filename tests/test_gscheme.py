@@ -330,7 +330,7 @@ def created_profiles(*targets):
     """The strict-count profiles that scans created for the classes of the
     targets' components (a class with none reads as empty and is left out)."""
     codes = {canonical_form(c) for t in targets for c in t.component_posets}
-    return [prof for prof in map(gscheme._profile, codes) if prof]
+    return [prof for prof in map(lovasz.strict_profile, codes) if prof]
 
 
 def no_search(*args):
@@ -449,6 +449,34 @@ def test_witness_search_separates_same_size_pair(v3, lambda3):
     p, (cr, cs) = witness_search(v3, lambda3)
     assert cr != cs
     assert p.n <= 3
+
+
+def relabelled(p, rng):
+    """p with its elements in a random order under fresh labels."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    place = {old: new for new, old in enumerate(perm)}
+    rows = [sum(1 << place[j] for j in range(p.n) if p.leq(i, j)) for i in perm]
+    return Poset([f"e{k}" for k in range(p.n)], rows)
+
+
+def test_witness_search_refuses_isomorphic_inputs_by_their_components(monkeypatch):
+    """Equal component classes, equally often on both sides, are refused
+    with no isomorphism test of the whole posets."""
+    def whole(*args):
+        raise AssertionError("the whole posets were compared")
+
+    monkeypatch.setattr(gscheme, "is_isomorphic", whole)
+    c2, a1 = catalog("C", 2), catalog("A", 1)
+    rng = random.Random(39)
+    parts = direct_sum(direct_sum(catalog("N"), catalog("V", 3)), direct_sum(c2, catalog("N")))
+    for r, s in ((direct_sum(c2, a1), direct_sum(a1, c2)), (parts, relabelled(parts, rng))):
+        assert r != s
+        with pytest.raises(InvalidParameter, match="non-isomorphic"):
+            witness_search(r, s)
+    # one component class more often on one side is no isomorphism
+    p, (cr, cs) = witness_search(parts, direct_sum(parts, a1))
+    assert (p.n, cr, cs) == (1, 13, 14)
 
 
 def test_missing_witness_is_a_bug_only_at_full_bound(monkeypatch, capsys, n_poset, crown):
@@ -603,6 +631,37 @@ def test_a_component_past_the_subset_ceiling_starts_at_level_3():
     report = bounded_gle_check(r, s, 4)
     assert (report.classes_checked, report.witness) == reference_scan(r, s, 4, operator.gt)
     assert witness_search(r, s) == reference_scan(r, s, 4, operator.ne)[1]
+
+
+def disjoint_union(parts):
+    """The direct sum of parts, built in one step."""
+    labels, rows = [], []
+    for k, p in enumerate(parts):
+        offset = len(rows)
+        labels += [f"{k}.{x}" for x in p.labels]
+        rows += [p.up_mask(i) << offset for i in range(p.n)]
+    return Poset(labels, rows)
+
+
+def test_the_class_table_stays_within_its_size():
+    """A scan over more component classes than the table holds leaves it
+    full and no fuller, and its verdict is the direct count's."""
+    size = lovasz._CLASS_CACHE_SIZE
+    big = disjoint_union(list(enumerate_connected(7))[:size + 1])
+    r = direct_sum(big, catalog("A", 1))
+    assert len(gscheme._component_groups(r, big)) == size + 1
+    report = bounded_gle_check(r, big, 3)
+    assert (report.classes_checked, report.witness[1]) == (1, (r.n, big.n))
+    assert lovasz._class_data.cache_info().currsize == size
+
+
+def test_class_counts_are_the_generated_ones(monkeypatch):
+    """_classes_below reads A000608 where its table reaches and generates
+    past it; both agree with generation through size 7."""
+    generated = [0] + [len(list(enumerate_connected(n))) for n in range(1, 8)]
+    assert [gscheme._classes_below(size) for size in range(1, 9)] == generated
+    monkeypatch.setattr(gscheme, "_CONNECTED_COUNTS", gscheme._CONNECTED_COUNTS[:3])
+    assert [gscheme._classes_below(size) for size in range(1, 9)] == generated
 
 
 def test_interleaved_scans_share_one_profile():
