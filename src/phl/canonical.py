@@ -221,10 +221,20 @@ def canonicalize(p: Poset) -> Poset:
     return _relabelled(_canonical(p._up)[1])
 
 
+def component_classes(p: Poset, q: Poset) -> dict[bytes, list]:
+    """The component classes of p and q: code -> [a component, count in p, count in q]."""
+    classes: dict[bytes, list] = {}
+    for side, t in enumerate((p, q), 1):
+        for c in t.component_posets:
+            classes.setdefault(canonical_form(c), [c, 0, 0])[side] += 1
+    return classes
+
+
 def is_isomorphic(p: Poset, q: Poset) -> bool:
+    """Whether every component class occurs as often in p as in q."""
     if p.n != q.n or p.relation_size != q.relation_size:
         return False
-    return canonical_form(p) == canonical_form(q)
+    return all(kp == kq for _, kp, kq in component_classes(p, q).values())
 
 
 def iso_classes(relations: Iterable[Sequence[int]]) -> dict[bytes, Poset]:

@@ -27,15 +27,16 @@ of Q, so #strict(P, T) is the sum over connected classes Q of
 copies of Q in T (lovasz.induced_copies).  Let d = ind(., S) - ind(., R),
 and call its entries on the classes of m elements level m.  Components
 add their copies, so the scans group them by canonical code, and a
-group with as many components in R as in S drops out of d.  Level 1 is
-A1 alone and level 2 is C2 alone, so there d is the difference of the
-sizes and of the strict relation counts, with no copy looked up.  An
-image has at most |P| elements, so for every connected P
+group with as many components in R as in S drops out of d.  Levels 1
+and 2 hold A1 and C2 alone, counted in closed form: #strict(A1, T) =
+|T|, and #strict(C2, T) is T's number of strict relations.  The scans
+compare those before they group a component.  An image has at most
+|P| elements, so for every connected P
 
     #strict(P, S) - #strict(P, R) = sum over |Q| <= |P| of #strict_onto(P, Q) * d(Q),
 
-and every #strict_onto is >= 0.  Three exact rules follow; neither
-scan's output changes by them.
+and every #strict_onto is >= 0.  Three exact rules follow, which the
+scans apply from level 3 on; neither scan's output changes by them.
 
   1. If d >= 0 on every level up to n_max, every term is >= 0 for
      |P| <= n_max, so no class up to n_max is a counterexample:
@@ -43,8 +44,8 @@ scan's output changes by them.
      the number of classes up to n_max, and counts nothing.
   2. Let k be the first level with a nonzero entry.  For |P| < k every
      term has d(Q) = 0, so no class below k separates R and S; both
-     scans start counting at level k, and classes_checked still counts
-     the classes below it.  The first counterexample is the full scan's.
+     scans count from level max(k, 3) on, and classes_checked still
+     counts the classes below.  The first counterexample is the full scan's.
   3. A class at level k separates R and S, so witness_search's first
      witness, counts and all, is the full scan's and lies at level k.
      For |P| = |Q| a strict surjection is a bijection keeping every
@@ -90,7 +91,7 @@ from typing import TYPE_CHECKING
 
 from . import config
 from ._record import record
-from .canonical import canonical_form, connected_of_size, enumerate_connected, is_isomorphic
+from .canonical import canonical_form, component_classes, connected_of_size, enumerate_connected, is_isomorphic
 from .errors import (
     BoundTooLarge,
     IndexOutOfRange,
@@ -125,50 +126,53 @@ class WitnessReport:
 def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessReport:
     """Scan connected classes up to n_max for a strict-count violation.
 
-    The copy vector settles a copy-dominated pair with no count (rule 1)
-    and lets any other scan start at its first nonzero level (rule 2).
+    A1 and C2 are compared in closed form; from level 3 on, the copy vector
+    settles a copy-dominated pair with no count (rule 1) and lets any
+    other scan start at its first nonzero level (rule 2).
     """
     require_nonempty(r, s)
     n_max = config.check_bound(n_max, config.DEFAULT_SCAN_BOUND)
-    groups = _component_groups(r, s)
-    start = _start_level(r, s, groups, n_max, settle_dominated=True)
-    if start <= n_max:
-        for i, p, cr, cs in _strict_count_pairs(groups, start, n_max):
-            if cr > cs:
-                return WitnessReport("counterexample", n_max, i + 1, (p, (cr, cs)))
+    low = _low_counts(r, s, n_max)
+    for m, (cr, cs) in enumerate(low, 1):
+        if cr > cs:
+            return WitnessReport("counterexample", n_max, m, (connected_of_size(m)[0], (cr, cs)))
+    if n_max > 2:
+        groups = component_classes(r, s)
+        start = _start_level(low, groups, n_max, settle_dominated=True)
+        if start <= n_max:
+            for i, p, cr, cs in _strict_count_pairs(groups, max(start, 3), n_max):
+                if cr > cs:
+                    return WitnessReport("counterexample", n_max, i + 1, (p, (cr, cs)))
     return WitnessReport("holds_up_to_bound", n_max, _classes_below(n_max + 1), None)
 
 
-def _component_groups(r: Poset, s: Poset) -> dict[bytes, list]:
-    """Component classes of r and s: code -> [a component, count in r, count in s]."""
-    groups: dict[bytes, list] = {}
-    for side, t in enumerate((r, s), 1):
-        for c in t.component_posets:
-            groups.setdefault(canonical_form(c), [c, 0, 0])[side] += 1
-    return groups
+def _low_counts(r: Poset, s: Poset, n_max: int) -> tuple[tuple[int, int], ...]:
+    """(#strict(P, r), #strict(P, s)) for the classes of levels 1 and 2 up
+    to n_max, A1 and C2: a strict map from A1 is an element and one from C2
+    a strict relation."""
+    return ((r.n, s.n), (r.relation_size - r.n, s.relation_size - s.n))[:n_max]
 
 
-def _start_level(r: Poset, s: Poset, groups: dict[bytes, list], n_max: int,
+def _start_level(low: tuple[tuple[int, int], ...], groups: dict[bytes, list], n_max: int,
                  settle_dominated: bool) -> int:
     """The size of the first classes whose counts can differ, by the copy
     vector d of the module docstring: its first nonzero level (rule 2), or
     n_max + 1 when no level up to n_max is nonzero or, with
     settle_dominated, negative (rule 1).
 
-    Level 1 is A1 alone and level 2 is C2 alone, so their entries are the
-    differences of the sizes and of the strict relation counts.  Groups
-    with equal counts cancel, and a level above the largest component of
-    the others is zero.  When one of those components has more subsets
-    than config.DEFAULT_SUBSET_CEILING, its copies are not walked and the
+    Levels 1 and 2 are the differences of the closed-form counts low
+    (_low_counts).  From level 3 on, the component groups with equal
+    counts cancel, and a level above the largest component of the others
+    is zero.  When one of those components has more subsets than
+    config.DEFAULT_SUBSET_CEILING, its copies are not walked and the
     search ends at level 3.
     """
     first = 0
     weighted = None
     for m in range(1, n_max + 1):
-        if m == 1:
-            values = (s.n - r.n,)
-        elif m == 2:
-            values = (s.relation_size - s.n - r.relation_size + r.n,)
+        if m <= 2:
+            cr, cs = low[m - 1]
+            values = (cs - cr,)
         else:
             if weighted is None:
                 weighted = [(ms - mr, code, c.n) for code, (c, mr, ms) in groups.items() if mr != ms]
@@ -191,16 +195,16 @@ def _start_level(r: Poset, s: Poset, groups: dict[bytes, list], n_max: int,
     return n_max + 1
 
 
-# OEIS A000608: the connected classes of 1 to 9 elements.
-_CONNECTED_COUNTS = (1, 1, 3, 10, 44, 238, 1650, 14512, 163341)
+# Entry k: the connected classes of fewer than k elements (partial sums of OEIS A000608).
+_CLASSES_BELOW = (0, 0, 1, 2, 5, 15, 59, 297, 1947, 16459, 179800)
 
 
 def _classes_below(size: int) -> int:
     """The number of connected classes of fewer than size elements, read
-    from A000608 where it reaches and generated past it."""
-    known = min(size - 1, len(_CONNECTED_COUNTS))
-    generated = map(len, map(connected_of_size, range(known + 1, size)))
-    return sum(_CONNECTED_COUNTS[:known]) + sum(generated)
+    from _CLASSES_BELOW where it reaches and generated past it."""
+    if size < len(_CLASSES_BELOW):
+        return _CLASSES_BELOW[size]
+    return _CLASSES_BELOW[-1] + sum(map(len, map(connected_of_size, range(len(_CLASSES_BELOW) - 1, size))))
 
 
 def _strict_count_pairs(groups: dict[bytes, list], start: int, n_max: int):
@@ -531,17 +535,23 @@ def witness_search(r: Poset, s: Poset) -> tuple[Poset, tuple[int, int]]:
     raises BoundTooLarge.
     """
     require_nonempty(r, s)
-    groups = _component_groups(r, s)
-    # isomorphic exactly when every component class occurs as often in r as in s
-    if all(mr == ms for _, mr, ms in groups.values()):
+    # isomorphic inputs agree on A1 and C2 (sizes and relation counts), and
+    # are isomorphic exactly when every component class occurs as often in r as in s
+    groups = component_classes(r, s) if (r.n, r.relation_size) == (s.n, s.relation_size) else None
+    if groups and all(mr == ms for _, mr, ms in groups.values()):
         raise InvalidParameter("witness search requires non-isomorphic posets")
     full = max(r.n, s.n)
     ceiling = config.max_bound()
     n_max = min(full, ceiling)
-    start = _start_level(r, s, groups, n_max, settle_dominated=False)
-    for _, p, cr, cs in _strict_count_pairs(groups, start, n_max):
+    low = _low_counts(r, s, n_max)
+    for m, (cr, cs) in enumerate(low, 1):
         if cr != cs:
-            return p, (cr, cs)
+            return connected_of_size(m)[0], (cr, cs)
+    if groups and n_max > 2:
+        start = max(_start_level(low, groups, n_max, settle_dominated=False), 3)
+        for _, p, cr, cs in _strict_count_pairs(groups, start, n_max):
+            if cr != cs:
+                return p, (cr, cs)
     if full > ceiling:
         raise BoundTooLarge(full, ceiling)
     raise InternalInvariantViolation(

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -151,6 +152,27 @@ def test_canonical_form_is_invariant_beyond_refinement():
     assert len(set(_refined_classes(rows(p)))) == 2
     codes = {canonical_form(shuffled_copy(p, seed)) for seed in range(12)}
     assert codes == {canonical_form(p)}
+
+
+def test_is_isomorphic_compares_disjoint_crowns_by_component():
+    """Two disjoint 12-element crowns, whose whole code takes minutes, are
+    compared by how often each component class occurs, in well under a
+    second."""
+    almost = crown(6, "d")
+    # still 12 strict relations, but b0 lies below t3 instead of t1: a cycle of 8 with a tail
+    almost = Poset(almost.labels, [rows(almost)[0] ^ 1 << 7 | 1 << 9] + rows(almost)[1:])
+    assert is_connected(almost) and almost.relation_size == crown(6, "d").relation_size
+    p = direct_sum(crown(6, "a"), crown(6, "c"))
+    for q, same in ((direct_sum(shuffled_copy(crown(6, "c"), 1), crown(6, "a")), True),
+                    (direct_sum(crown(6, "a"), almost), False)):
+        start = time.perf_counter()
+        assert is_isomorphic(p, q) is same
+        assert time.perf_counter() - start < 1
+    # the same component classes, sizes and relation counts, but not as often
+    a1, c2, c3 = catalog("A", 1), catalog("C", 2), catalog("C", 3)
+    p = direct_sum(direct_sum(a1, direct_sum(direct_sum(c2, c2), direct_sum(c2, c2))), c3)
+    q = direct_sum(direct_sum(catalog("A", 4), c2), direct_sum(c3, c3))
+    assert (p.n, p.relation_size) == (q.n, q.relation_size) and not is_isomorphic(p, q)
 
 
 def test_enumeration_counts_match_known_values():

@@ -6,7 +6,14 @@ import threading
 import pytest
 
 from phl import gscheme, lovasz
-from phl.canonical import canonical_form, enumerate_connected, enumerate_posets, is_isomorphic
+from phl.canonical import (
+    canonical_form,
+    component_classes,
+    connected_of_size,
+    enumerate_connected,
+    enumerate_posets,
+    is_isomorphic,
+)
 from phl.cli import main
 from phl.errors import (
     BoundTooLarge,
@@ -39,6 +46,12 @@ from conftest import clear_count_tables
 
 def a1c3():
     return direct_sum(catalog("A", 1), catalog("C", 3))
+
+
+def start_level(r, s, n_max, settle_dominated):
+    """gscheme's start level for the pair (r, s) up to n_max."""
+    low = gscheme._low_counts(r, s, n_max)
+    return gscheme._start_level(low, component_classes(r, s), n_max, settle_dominated)
 
 
 def test_bounded_scan_holds_forward(n_poset):
@@ -309,7 +322,7 @@ def test_repeated_scans_keep_one_plan_per_order_and_kind_class():
     # not copy-dominated and of different sizes, so the scan counts every class
     r = catalog("N")
     s = direct_sum(a1c3(), catalog("A", 1))
-    assert gscheme._start_level(r, s, gscheme._component_groups(r, s), 5, True) == 1
+    assert start_level(r, s, 5, True) == 1
     classes = list(enumerate_connected(5))
     assert bounded_gle_check(r, s, 5).holds
     after_first = [dict(p._plans) for p in classes]
@@ -391,14 +404,18 @@ def test_scans_share_profiles_by_class(monkeypatch):
 
 
 def test_refuted_scan_fills_only_the_classes_it_checked(v3, lambda3):
-    # V3 and Lambda3 first differ in copies on level 3, N2 and A2 + C2 on level 2
-    for r, s, start in ((v3, lambda3, 3), (catalog("N2"), direct_sum(catalog("A", 2), catalog("C", 2)), 2)):
-        report = bounded_gle_check(r, s, 6)
-        below = len(list(enumerate_connected(start - 1)))
-        assert not report.holds and report.classes_checked > below
-        profiles = created_profiles(r, s)
-        assert profiles and all(set(prof) == set(range(below, report.classes_checked))
-                                for prof in profiles)
+    # V3 and Lambda3 first differ in copies on level 3
+    report = bounded_gle_check(v3, lambda3, 6)
+    below = len(list(enumerate_connected(2)))
+    assert not report.holds and report.classes_checked > below
+    profiles = created_profiles(v3, lambda3)
+    assert profiles and all(set(prof) == set(range(below, report.classes_checked))
+                            for prof in profiles)
+    # N2 and A2 + C2 first differ on level 2, in closed form: no class-table entry is made
+    entries = lovasz._class_data.cache_info().currsize
+    report = bounded_gle_check(catalog("N2"), direct_sum(catalog("A", 2), catalog("C", 2)), 6)
+    assert (report.classes_checked, report.witness[0].n, report.witness[1]) == (2, 2, (4, 1))
+    assert lovasz._class_data.cache_info().currsize == entries
 
 
 def test_profiles_grow_with_the_bound_only():
@@ -479,20 +496,21 @@ def test_witness_search_refuses_isomorphic_inputs_by_their_components(monkeypatc
     assert (p.n, cr, cs) == (1, 13, 14)
 
 
-def test_missing_witness_is_a_bug_only_at_full_bound(monkeypatch, capsys, n_poset, crown):
-    # equal counts everywhere would make N and N2 isomorphic, so within
-    # max(|r|, |s|) = 4 elements only a wrong count can miss a witness
-    monkeypatch.setattr(gscheme, "count_maps", lambda kind, p, q: 1)
+def test_missing_witness_is_a_bug_only_at_full_bound(monkeypatch, capsys, n_poset):
+    # N and A1 + C3 agree on A1 and C2, and equal counts everywhere would
+    # make them isomorphic, so within max(|r|, |s|) = 4 elements only a
+    # wrong count can miss a witness
+    monkeypatch.setattr(gscheme, "count_maps", lambda kind, p, q: 0)
     with pytest.raises(InternalInvariantViolation, match="within max"):
-        witness_search(n_poset, crown)
-    assert main(["witness", "--r", "catalog:N", "--s", "catalog:N2"]) == 4
+        witness_search(n_poset, a1c3())
+    assert main(["witness", "--r", "catalog:N", "--s", "catalog:A1+C3"]) == 4
     err = capsys.readouterr().err
     assert "error: InternalInvariantViolation" in err and "bug in phl" in err
     # a ceiling below max(|r|, |s|) may hide the witness: a refusal, not a bug
     monkeypatch.setenv("PHL_MAX_BOUND", "3")
     with pytest.raises(BoundTooLarge, match="bound 4 exceeds ceiling 3"):
-        witness_search(n_poset, crown)
-    assert main(["witness", "--r", "catalog:N", "--s", "catalog:N2"]) == 2
+        witness_search(n_poset, a1c3())
+    assert main(["witness", "--r", "catalog:N", "--s", "catalog:A1+C3"]) == 2
     assert "error: BoundTooLarge" in capsys.readouterr().err
 
 
@@ -583,8 +601,7 @@ def test_copy_vector_skips_only_equal_counts_on_all_pairs_up_to_size_5():
             if r is s:
                 continue
             pairs += 1
-            groups = gscheme._component_groups(r, s)
-            start = gscheme._start_level(r, s, groups, 5, settle_dominated=True)
+            start = start_level(r, s, 5, settle_dominated=True)
             if start > 5:
                 # rule 1: no count is made, and the pair holds by direct counting
                 dominated += 1
@@ -593,7 +610,7 @@ def test_copy_vector_skips_only_equal_counts_on_all_pairs_up_to_size_5():
                 # rule 2: no class below the start level separates the counts
                 assert counts_r[:below[start]] == counts_s[:below[start]], (r, s)
             # rule 3: the first separating class lies on the first nonzero level
-            k = gscheme._start_level(r, s, groups, 5, settle_dominated=False)
+            k = start_level(r, s, 5, settle_dominated=False)
             first = next(i for i, (cr, cs) in enumerate(zip(counts_r, counts_s)) if cr != cs)
             assert below[k] <= first < below[k + 1], (r, s)
             reference = next(((i + 1, (classes[i], (cr, cs)))
@@ -602,6 +619,70 @@ def test_copy_vector_skips_only_equal_counts_on_all_pairs_up_to_size_5():
             report = bounded_gle_check(r, s, 5)
             assert (report.classes_checked, report.witness) == reference, (r, s)
     assert (pairs, dominated) == (7482, 1594)
+
+
+def closed_form_only(patched):
+    """Make a scan fail that groups components, reads a class table or counts maps."""
+    def fail(*args):
+        raise AssertionError("a scan went past the closed form")
+
+    for owner, name in ((gscheme, "component_classes"), (gscheme, "count_maps"), (lovasz, "_class_data")):
+        patched.setattr(owner, name, fail)
+
+
+def test_closed_form_levels_match_direct_counting(monkeypatch):
+    """#strict(A1, T) = |T| and #strict(C2, T) is T's number of strict
+    relations, on every T up to 5 elements.  On the 520 ordered pairs of
+    posets up to 4 elements that differ on level 1 or 2, both scans agree
+    with direct counting, and where those levels decide, with no
+    component grouped, no class table read and no map counted."""
+    a1, c2 = catalog("A", 1), catalog("C", 2)
+    for t in enumerate_posets(5):
+        expected = ((count_maps("strict", a1, t), 1), (count_maps("strict", c2, t), 0))
+        assert gscheme._low_counts(t, a1, 5) == expected
+        assert gscheme._low_counts(t, a1, 1) == expected[:1]
+    posets = list(enumerate_posets(4))
+    pairs = [(r, s) for r in posets for s in posets if (r.n, r.relation_size) != (s.n, s.relation_size)]
+    assert len(pairs) == 520
+    for r, s in pairs:
+        witness = reference_scan(r, s, max(r.n, s.n), operator.ne)[1]
+        with monkeypatch.context() as patched:
+            closed_form_only(patched)
+            assert witness_search(r, s) == witness and witness[0].n <= 2
+        for n_max in range(1, 6):
+            expected = reference_scan(r, s, n_max, operator.gt)
+            with monkeypatch.context() as patched:
+                if n_max <= 2 or expected[1] and expected[1][0].n <= 2:
+                    closed_form_only(patched)
+                report = bounded_gle_check(r, s, n_max)
+            assert (report.classes_checked, report.witness) == expected, (r, s, n_max)
+
+
+def test_closed_form_edges(monkeypatch):
+    """Bound 1 reads A1 alone, and a ceiling of 1 keeps every refusal and
+    its precedence."""
+    monkeypatch.setattr(gscheme, "count_maps", no_search)
+    monkeypatch.setattr(lovasz, "_class_data", no_search)
+    a1, a2, c2 = catalog("A", 1), catalog("A", 2), catalog("C", 2)
+    first, second = (connected_of_size(k)[0] for k in (1, 2))
+    # C2 has a strict relation A2 lacks, past bound 1
+    report = bounded_gle_check(c2, a2, 1)
+    assert (report.verdict, report.classes_checked, report.witness) == ("holds_up_to_bound", 1, None)
+    assert bounded_gle_check(c2, a2, 2).witness == (second, (1, 0))
+    assert bounded_gle_check(a2, a1, 1).witness == (first, (2, 1))
+    monkeypatch.setenv("PHL_MAX_BOUND", "1")
+    assert witness_search(a2, a1) == (first, (2, 1))
+    with pytest.raises(BoundTooLarge, match="bound 2 exceeds ceiling 1"):
+        witness_search(c2, a2)
+    with pytest.raises(BoundTooLarge):
+        bounded_gle_check(a2, a1)
+    assert bounded_gle_check(a2, a1, 1).witness == (first, (2, 1))
+    # isomorphic inputs are refused before the ceiling is read
+    monkeypatch.setenv("PHL_MAX_BOUND", "x")
+    with pytest.raises(InvalidParameter, match="non-isomorphic"):
+        witness_search(c2, catalog("C", 2))
+    with pytest.raises(InvalidParameter, match="PHL_MAX_BOUND"):
+        witness_search(c2, a2)
 
 
 def test_a_dropped_copy_changes_a_verdict(monkeypatch):
@@ -627,7 +708,7 @@ def test_a_component_past_the_subset_ceiling_starts_at_level_3():
     r = ordinal_sum(catalog("C", 11), top)
     s = ordinal_sum(bottom, catalog("C", 11))
     assert (r.n, r.relation_size) == (s.n, s.relation_size)
-    assert gscheme._start_level(r, s, gscheme._component_groups(r, s), 4, True) == 3
+    assert start_level(r, s, 4, True) == 3
     report = bounded_gle_check(r, s, 4)
     assert (report.classes_checked, report.witness) == reference_scan(r, s, 4, operator.gt)
     assert witness_search(r, s) == reference_scan(r, s, 4, operator.ne)[1]
@@ -648,19 +729,22 @@ def test_the_class_table_stays_within_its_size():
     full and no fuller, and its verdict is the direct count's."""
     size = lovasz._CLASS_CACHE_SIZE
     big = disjoint_union(list(enumerate_connected(7))[:size + 1])
-    r = direct_sum(big, catalog("A", 1))
-    assert len(gscheme._component_groups(r, big)) == size + 1
-    report = bounded_gle_check(r, big, 3)
-    assert (report.classes_checked, report.witness[1]) == (1, (r.n, big.n))
+    # equal on levels 1 and 2, so the scan counts level 3 into every group
+    r, s = direct_sum(big, catalog("V", 3)), direct_sum(big, catalog("Lambda", 3))
+    assert len(component_classes(r, s)) == size + 1
+    report = bounded_gle_check(r, s, 3)
+    assert (report.classes_checked, report.witness) == reference_scan(r, s, 3, operator.gt)
+    assert report.classes_checked == 3
     assert lovasz._class_data.cache_info().currsize == size
 
 
 def test_class_counts_are_the_generated_ones(monkeypatch):
-    """_classes_below reads A000608 where its table reaches and generates
-    past it; both agree with generation through size 7."""
+    """_classes_below reads the partial sums of A000608 where its table
+    reaches and generates past it; both agree with generation through
+    size 7."""
     generated = [0] + [len(list(enumerate_connected(n))) for n in range(1, 8)]
     assert [gscheme._classes_below(size) for size in range(1, 9)] == generated
-    monkeypatch.setattr(gscheme, "_CONNECTED_COUNTS", gscheme._CONNECTED_COUNTS[:3])
+    monkeypatch.setattr(gscheme, "_CLASSES_BELOW", gscheme._CLASSES_BELOW[:4])
     assert [gscheme._classes_below(size) for size in range(1, 9)] == generated
 
 
@@ -673,7 +757,7 @@ def test_interleaved_scans_share_one_profile():
         s = direct_sum(catalog("N"), catalog("V", 3))
         expected = [(i, p, count_maps("strict", p, r), count_maps("strict", p, s))
                     for i, p in enumerate(enumerate_connected(5))]
-        groups = gscheme._component_groups(r, s)
+        groups = component_classes(r, s)
         ahead = gscheme._strict_count_pairs(groups, 1, 5)
         first = [next(ahead) for _ in range(lead)]
         behind = gscheme._strict_count_pairs(groups, 1, 5)
