@@ -1,15 +1,17 @@
 """Deep check: the copy-vector rules of gscheme against scans with no skip.
 
 Statements checked, from the rules in the gscheme module docstring:
-  * rule 3: for each of the 163,620 ordered pairs of distinct posets
+  * rule 2: for each of the 163,620 ordered pairs of distinct posets
     among the 405 of 1..6 elements (OEIS A000112), witness_search returns
     the witness, counts included, of a reference scan that counts strict
     maps into the whole posets, class by class in class order, up to
     max(|R|, |S|) elements, with no level skipped;
-  * rule 1: every pair among the 87 posets of 1..5 elements whose copy
-    vector is >= 0 (1,594 pairs) holds by direct counting on all 1,947
-    connected classes up to 7 elements (OEIS A000608), and
-    bounded_gle_check reports it so at bound 7 without counting.
+  * rule 1: for each of the 7,482 ordered pairs among the 87 posets of
+    1..5 elements, bounded_gle_check at bound 7 reports the verdict,
+    classes_checked and witness of such a reference scan over the 1,947
+    connected classes up to 7 elements (OEIS A000608); the 1,594 pairs
+    with no negative level of the copy vector are reported so without
+    counting.
 """
 
 from phl import gscheme
@@ -39,7 +41,13 @@ def test_witness_search_matches_a_scan_with_no_skip_on_all_pairs_up_to_size_6():
     assert pairs == 163620
 
 
-def test_copy_dominated_pairs_up_to_size_5_hold_at_bound_7(monkeypatch):
+def dominated(r, s, n_max):
+    """Whether the copy vector of (r, s) has no negative entry up to n_max."""
+    return (all(cr <= cs for cr, cs in gscheme._low_counts(r, s, n_max))
+            and gscheme._start_level(component_classes(r, s), n_max, True) > n_max)
+
+
+def test_bounded_scans_of_pairs_up_to_size_5_match_direct_counting_at_bound_7(monkeypatch):
     posets = list(enumerate_posets(5))
     classes = list(enumerate_connected(7))
     assert len(classes) == 1947
@@ -48,14 +56,20 @@ def test_copy_dominated_pairs_up_to_size_5_hold_at_bound_7(monkeypatch):
     def no_count(*args):
         raise AssertionError("a copy-dominated pair was counted")
 
-    monkeypatch.setattr(gscheme, "count_maps", no_count)
-    dominated = 0
+    pairs = copy_dominated = 0
     for r, counts_r in zip(posets, counts):
         for s, counts_s in zip(posets, counts):
-            if r is s or gscheme._start_level(gscheme._low_counts(r, s, 7), component_classes(r, s), 7, True) <= 7:
+            if r is s:
                 continue
-            dominated += 1
-            assert all(cr <= cs for cr, cs in zip(counts_r, counts_s)), (r, s)
-            report = bounded_gle_check(r, s, 7)
-            assert (report.verdict, report.classes_checked) == ("holds_up_to_bound", 1947), (r, s)
-    assert dominated == 1594
+            pairs += 1
+            expected = next((("counterexample", i + 1, (p, (cr, cs)))
+                             for i, (p, cr, cs) in enumerate(zip(classes, counts_r, counts_s)) if cr > cs),
+                            ("holds_up_to_bound", 1947, None))
+            with monkeypatch.context() as patched:
+                if dominated(r, s, 7):
+                    copy_dominated += 1
+                    assert expected[0] == "holds_up_to_bound", (r, s)
+                    patched.setattr(gscheme, "count_maps", no_count)
+                report = bounded_gle_check(r, s, 7)
+            assert (report.verdict, report.classes_checked, report.witness) == expected, (r, s)
+    assert (pairs, copy_dominated) == (7482, 1594)

@@ -35,30 +35,32 @@ compare those before they group a component.  An image has at most
 
     #strict(P, S) - #strict(P, R) = sum over |Q| <= |P| of #strict_onto(P, Q) * d(Q),
 
-and every #strict_onto is >= 0.  Three exact rules follow, which the
-scans apply from level 3 on; neither scan's output changes by them.
+and every #strict_onto is >= 0.  Two exact rules follow, which the
+scans apply from level 3 on; neither scan's output changes by them.  On
+levels 1 and 2 the count differences are d itself (#strict_onto(C2, A1)
+= 0), so the closed forms read d there.
 
-  1. If d >= 0 on every level up to n_max, every term is >= 0 for
-     |P| <= n_max, so no class up to n_max is a counterexample:
-     bounded_gle_check reports holds_up_to_bound, with classes_checked
-     the number of classes up to n_max, and counts nothing.
+  1. Let k be the first level with a negative entry.  For |P| < k every
+     term is >= 0, so no class below k is a counterexample:
+     bounded_gle_check counts from level k on, and classes_checked still
+     counts the classes below.  With no negative entry up to n_max (a
+     copy-dominated pair) it counts nothing and reports
+     holds_up_to_bound, with classes_checked the number of classes up to
+     n_max.
   2. Let k be the first level with a nonzero entry.  For |P| < k every
-     term has d(Q) = 0, so no class below k separates R and S; both
-     scans count from level max(k, 3) on, and classes_checked still
-     counts the classes below.  The first counterexample is the full scan's.
-  3. A class at level k separates R and S, so witness_search's first
-     witness, counts and all, is the full scan's and lies at level k.
-     For |P| = |Q| a strict surjection is a bijection keeping every
-     relation of P, so #strict_onto(P, Q) > 0 needs Q to have at least
-     P's relations, with equality only for Q isomorphic to P, where it
-     is #aut(P) > 0.  Take Q0 at level k with d(Q0) != 0 and the most
-     relations among such; at P = Q0 the sum keeps only the term
-     #aut(Q0) * d(Q0), which is nonzero.
+     term is 0, so no class below k separates R and S, and one at level
+     k does, so witness_search's first witness, counts and all, is the
+     full scan's and lies at level k.  For |P| = |Q| a strict surjection
+     is a bijection keeping every relation of P, so #strict_onto(P, Q) > 0
+     needs Q to have at least P's relations, with equality only for Q
+     isomorphic to P, where it is #aut(P) > 0.  Take Q0 at level k with
+     d(Q0) != 0 and the most relations among such; at P = Q0 the sum
+     keeps only the term #aut(Q0) * d(Q0), which is nonzero.
 
 A level that is not computed ends the search for k there, which keeps
 the rules exact: the copies of a component with more subsets than
 config.DEFAULT_SUBSET_CEILING are not walked, so such a pair starts
-counting at level 3 at the latest.
+counting at level 3.
 
 A certificate upgrades bounded evidence to a theorem.  Its ingredients:
 
@@ -126,24 +128,36 @@ class WitnessReport:
 def bounded_gle_check(r: Poset, s: Poset, n_max: int | None = None) -> WitnessReport:
     """Scan connected classes up to n_max for a strict-count violation.
 
-    A1 and C2 are compared in closed form; from level 3 on, the copy vector
-    settles a copy-dominated pair with no count (rule 1) and lets any
-    other scan start at its first nonzero level (rule 2).
+    A1 and C2 are compared in closed form; from level 3 on, the scan counts
+    from the copy vector's first negative level (rule 1), so a
+    copy-dominated pair is settled with no count.
     """
     require_nonempty(r, s)
     n_max = config.check_bound(n_max, config.DEFAULT_SCAN_BOUND)
-    low = _low_counts(r, s, n_max)
-    for m, (cr, cs) in enumerate(low, 1):
-        if cr > cs:
-            return WitnessReport("counterexample", n_max, m, (connected_of_size(m)[0], (cr, cs)))
+    found = _first_difference(r, s, n_max, one_sided=True)
+    if found is None:
+        return WitnessReport("holds_up_to_bound", n_max, _classes_below(n_max + 1), None)
+    i, p, counts = found
+    return WitnessReport("counterexample", n_max, i + 1, (p, counts))
+
+
+def _first_difference(r: Poset, s: Poset, n_max: int, one_sided: bool):
+    """(i, p, (#strict(p, r), #strict(p, s))) for the first connected class p
+    up to n_max, the i-th, whose counts differ, with the count into r the
+    larger when one_sided; None when there is none.  Levels 1 and 2 are read
+    in closed form, and the count walk starts at the level the copy vector
+    gives (rules 1 and 2 of the module docstring)."""
+    for i, (cr, cs) in enumerate(_low_counts(r, s, n_max)):
+        if cr > cs or cr != cs and not one_sided:
+            return i, connected_of_size(i + 1)[0], (cr, cs)
     if n_max > 2:
         groups = component_classes(r, s)
-        start = _start_level(low, groups, n_max, settle_dominated=True)
+        start = _start_level(groups, n_max, one_sided)
         if start <= n_max:
-            for i, p, cr, cs in _strict_count_pairs(groups, max(start, 3), n_max):
-                if cr > cs:
-                    return WitnessReport("counterexample", n_max, i + 1, (p, (cr, cs)))
-    return WitnessReport("holds_up_to_bound", n_max, _classes_below(n_max + 1), None)
+            for i, p, cr, cs in _strict_count_pairs(groups, start, n_max):
+                if cr > cs or cr != cs and not one_sided:
+                    return i, p, (cr, cs)
+    return None
 
 
 def _low_counts(r: Poset, s: Poset, n_max: int) -> tuple[tuple[int, int], ...]:
@@ -153,45 +167,28 @@ def _low_counts(r: Poset, s: Poset, n_max: int) -> tuple[tuple[int, int], ...]:
     return ((r.n, s.n), (r.relation_size - r.n, s.relation_size - s.n))[:n_max]
 
 
-def _start_level(low: tuple[tuple[int, int], ...], groups: dict[bytes, list], n_max: int,
-                 settle_dominated: bool) -> int:
-    """The size of the first classes whose counts can differ, by the copy
-    vector d of the module docstring: its first nonzero level (rule 2), or
-    n_max + 1 when no level up to n_max is nonzero or, with
-    settle_dominated, negative (rule 1).
+def _start_level(groups: dict[bytes, list], n_max: int, one_sided: bool) -> int:
+    """The first level from 3 on where the copy vector d of the module
+    docstring has a negative entry (one_sided, rule 1) or a nonzero one
+    (rule 2), or n_max + 1 when no level up to n_max has one.
 
-    Levels 1 and 2 are the differences of the closed-form counts low
-    (_low_counts).  From level 3 on, the component groups with equal
-    counts cancel, and a level above the largest component of the others
-    is zero.  When one of those components has more subsets than
-    config.DEFAULT_SUBSET_CEILING, its copies are not walked and the
-    search ends at level 3.
+    The component groups with equal counts cancel, and a level above the
+    largest component of the others is zero.  When one of those components
+    has more subsets than config.DEFAULT_SUBSET_CEILING, its copies are
+    not walked and the level is 3.
     """
-    first = 0
-    weighted = None
-    for m in range(1, n_max + 1):
-        if m <= 2:
-            cr, cs = low[m - 1]
-            values = (cs - cr,)
-        else:
-            if weighted is None:
-                weighted = [(ms - mr, code, c.n) for code, (c, mr, ms) in groups.items() if mr != ms]
-                largest = max([n for _, _, n in weighted], default=0)
-                if 1 << largest > config.DEFAULT_SUBSET_CEILING:
-                    return first or m
-            if m > largest:
-                break
-            diff: dict[bytes, int] = {}
-            for w, code, n in weighted:
-                if n >= m:
-                    for q, copies in induced_copies(code, m).items():
-                        diff[q] = diff.get(q, 0) + w * copies
-            values = diff.values()
-        for v in values:
-            if v:
-                first = first or m
-                if v < 0 or not settle_dominated:
-                    return first
+    weighted = [(ms - mr, code, c.n) for code, (c, mr, ms) in groups.items() if mr != ms]
+    largest = max([n for _, _, n in weighted], default=0)
+    if 1 << largest > config.DEFAULT_SUBSET_CEILING:
+        return 3
+    for m in range(3, min(largest, n_max) + 1):
+        diff: dict[bytes, int] = {}
+        for w, code, n in weighted:
+            if n >= m:
+                for q, copies in induced_copies(code, m).items():
+                    diff[q] = diff.get(q, 0) + w * copies
+        if any(v < 0 if one_sided else v for v in diff.values()):
+            return m
     return n_max + 1
 
 
@@ -426,8 +423,8 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
     the independent bounded scan finds no counterexample (the latter
     failing after the former succeed would be a library bug).  On a
     copy-dominated pair, one whose copy vector is >= 0 on every level
-    up to the bound, that scan is settled by the copy vector with no
-    count (rule 1 of the module docstring).
+    up to the bound, that scan makes no count (rule 1 of the module
+    docstring).
     """
     n_max = config.check_bound(n_max, config.DEFAULT_DISTRIBUTOR_BOUND)
     require_nonempty(cert.r, cert.s)
@@ -535,23 +532,13 @@ def witness_search(r: Poset, s: Poset) -> tuple[Poset, tuple[int, int]]:
     raises BoundTooLarge.
     """
     require_nonempty(r, s)
-    # isomorphic inputs agree on A1 and C2 (sizes and relation counts), and
-    # are isomorphic exactly when every component class occurs as often in r as in s
-    groups = component_classes(r, s) if (r.n, r.relation_size) == (s.n, s.relation_size) else None
-    if groups and all(mr == ms for _, mr, ms in groups.values()):
+    if is_isomorphic(r, s):
         raise InvalidParameter("witness search requires non-isomorphic posets")
     full = max(r.n, s.n)
     ceiling = config.max_bound()
-    n_max = min(full, ceiling)
-    low = _low_counts(r, s, n_max)
-    for m, (cr, cs) in enumerate(low, 1):
-        if cr != cs:
-            return connected_of_size(m)[0], (cr, cs)
-    if groups and n_max > 2:
-        start = max(_start_level(low, groups, n_max, settle_dominated=False), 3)
-        for _, p, cr, cs in _strict_count_pairs(groups, start, n_max):
-            if cr != cs:
-                return p, (cr, cs)
+    found = _first_difference(r, s, min(full, ceiling), one_sided=False)
+    if found is not None:
+        return found[1:]
     if full > ceiling:
         raise BoundTooLarge(full, ceiling)
     raise InternalInvariantViolation(

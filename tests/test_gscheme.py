@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from phl import gscheme, lovasz
+from phl import canonical, gscheme, lovasz
 from phl.canonical import (
     canonical_form,
     component_classes,
@@ -48,10 +48,14 @@ def a1c3():
     return direct_sum(catalog("A", 1), catalog("C", 3))
 
 
-def start_level(r, s, n_max, settle_dominated):
-    """gscheme's start level for the pair (r, s) up to n_max."""
-    low = gscheme._low_counts(r, s, n_max)
-    return gscheme._start_level(low, component_classes(r, s), n_max, settle_dominated)
+def start_level(r, s, n_max, one_sided):
+    """gscheme's start level for the pair (r, s) up to n_max: the first of
+    levels 1 and 2 whose closed-form counts differ (with the count into r
+    the larger when one_sided), else the copy vector's level from 3 on."""
+    for m, (cr, cs) in enumerate(gscheme._low_counts(r, s, n_max), 1):
+        if cr > cs or cr != cs and not one_sided:
+            return m
+    return gscheme._start_level(component_classes(r, s), n_max, one_sided)
 
 
 def test_bounded_scan_holds_forward(n_poset):
@@ -319,10 +323,10 @@ def test_repeated_scans_keep_one_plan_per_order_and_kind_class():
     """The map-search plans a scan leaves on the class representatives are
     bounded: one per (search order, kind class), and a second scan over the
     same pair reads them without adding any."""
-    # not copy-dominated and of different sizes, so the scan counts every class
+    # not copy-dominated, so the scan counts every class from level 3 on
     r = catalog("N")
     s = direct_sum(a1c3(), catalog("A", 1))
-    assert start_level(r, s, 5, True) == 1
+    assert start_level(r, s, 5, True) == 3
     classes = list(enumerate_connected(5))
     assert bounded_gle_check(r, s, 5).holds
     after_first = [dict(p._plans) for p in classes]
@@ -479,18 +483,23 @@ def relabelled(p, rng):
 
 def test_witness_search_refuses_isomorphic_inputs_by_their_components(monkeypatch):
     """Equal component classes, equally often on both sides, are refused
-    with no isomorphism test of the whole posets."""
-    def whole(*args):
-        raise AssertionError("the whole posets were compared")
-
-    monkeypatch.setattr(gscheme, "is_isomorphic", whole)
+    with no canonical form of either whole poset."""
     c2, a1 = catalog("C", 2), catalog("A", 1)
     rng = random.Random(39)
     parts = direct_sum(direct_sum(catalog("N"), catalog("V", 3)), direct_sum(c2, catalog("N")))
     for r, s in ((direct_sum(c2, a1), direct_sum(a1, c2)), (parts, relabelled(parts, rng))):
         assert r != s
-        with pytest.raises(InvalidParameter, match="non-isomorphic"):
-            witness_search(r, s)
+
+        def part_only(p, whole=(r, s), code=canonical.canonical_form):
+            if any(p is t for t in whole):
+                raise AssertionError("a whole poset was coded")
+            return code(p)
+
+        with monkeypatch.context() as patched:
+            for owner in (canonical, gscheme):
+                patched.setattr(owner, "canonical_form", part_only)
+            with pytest.raises(InvalidParameter, match="non-isomorphic"):
+                witness_search(r, s)
     # one component class more often on one side is no isomorphism
     p, (cr, cs) = witness_search(parts, direct_sum(parts, a1))
     assert (p.n, cr, cs) == (1, 13, 14)
@@ -589,28 +598,28 @@ def test_strict_scans_match_direct_counting():
 
 
 def test_copy_vector_skips_only_equal_counts_on_all_pairs_up_to_size_5():
-    """Rules 1 to 3 of gscheme against direct counting, on the 7,482 ordered
+    """Rules 1 and 2 of gscheme against direct counting, on the 7,482 ordered
     pairs of distinct posets up to 5 elements (OEIS A000112) at bound 5."""
     posets = list(enumerate_posets(5))
     classes = list(enumerate_connected(5))
     counts = [[count_maps("strict", p, t) for p in classes] for t in posets]
     below = [len(list(enumerate_connected(k - 1))) if k > 1 else 0 for k in range(7)]
-    pairs = dominated = 0
+    pairs = dominated = later = 0
     for r, counts_r in zip(posets, counts):
         for s, counts_s in zip(posets, counts):
             if r is s:
                 continue
             pairs += 1
-            start = start_level(r, s, 5, settle_dominated=True)
+            # rule 1: no class below the first negative level is a counterexample
+            start = start_level(r, s, 5, one_sided=True)
+            assert all(cr <= cs for cr, cs in zip(counts_r[:below[start]], counts_s)), (r, s)
+            # rule 2: the first separating class lies on the first nonzero level
+            k = start_level(r, s, 5, one_sided=False)
             if start > 5:
-                # rule 1: no count is made, and the pair holds by direct counting
+                # no negative level: no count is made
                 dominated += 1
-                assert all(cr <= cs for cr, cs in zip(counts_r, counts_s)), (r, s)
-            else:
-                # rule 2: no class below the start level separates the counts
-                assert counts_r[:below[start]] == counts_s[:below[start]], (r, s)
-            # rule 3: the first separating class lies on the first nonzero level
-            k = start_level(r, s, 5, settle_dominated=False)
+            elif start > max(k, 3):
+                later += 1
             first = next(i for i, (cr, cs) in enumerate(zip(counts_r, counts_s)) if cr != cs)
             assert below[k] <= first < below[k + 1], (r, s)
             reference = next(((i + 1, (classes[i], (cr, cs)))
@@ -618,7 +627,8 @@ def test_copy_vector_skips_only_equal_counts_on_all_pairs_up_to_size_5():
                              (59, None))
             report = bounded_gle_check(r, s, 5)
             assert (report.classes_checked, report.witness) == reference, (r, s)
-    assert (pairs, dominated) == (7482, 1594)
+    # the pairs that are not dominated and count from past the first nonzero level
+    assert (pairs, dominated, later) == (7482, 1594, 343)
 
 
 def closed_form_only(patched):
