@@ -11,13 +11,18 @@ Statements checked, from the rules in the gscheme module docstring:
     classes_checked and witness of such a reference scan over the 1,947
     connected classes up to 7 elements (OEIS A000608); the 1,594 pairs
     with no negative level of the copy vector are reported so without
-    counting.
+    counting;
+  * the identity of the lovasz docstring, in induced copies: for each
+    of the 297 connected P up to 6 elements and each of the 7,482 ordered
+    pairs up to 5 elements, the sum over Q of #strict_onto(P, Q) * d(Q),
+    with d from lovasz.copy_vector, is #strict(P, S) - #strict(P, R).
 """
 
 from phl import gscheme
-from phl.canonical import component_classes, enumerate_connected, enumerate_posets
+from phl.canonical import canonical_form, component_classes, enumerate_connected, enumerate_posets
 from phl.gscheme import bounded_gle_check, witness_search
 from phl.homs import count_maps
+from phl.lovasz import copy_vector
 
 
 def strict_counts(posets, classes):
@@ -73,3 +78,22 @@ def test_bounded_scans_of_pairs_up_to_size_5_match_direct_counting_at_bound_7(mo
                 report = bounded_gle_check(r, s, 7)
             assert (report.verdict, report.classes_checked, report.witness) == expected, (r, s)
     assert (pairs, copy_dominated) == (7482, 1594)
+
+
+def test_copy_vectors_carry_the_count_differences_for_p_up_to_size_6():
+    classes = list(enumerate_connected(6))
+    posets = list(enumerate_posets(5))
+    rows = [{canonical_form(q): count_maps("strict_onto", p, q) for q in enumerate_connected(p.n)}
+            for p in classes]
+    counts = strict_counts(posets, classes)
+    pairs = 0
+    for r, counts_r in zip(posets, counts):
+        for s, counts_s in zip(posets, counts):
+            if r is s:
+                continue
+            pairs += 1
+            groups = component_classes(r, s)
+            d = [(q, v) for m in range(1, max(r.n, s.n) + 1) for q, v in copy_vector(groups, m).items()]
+            for row, cr, cs in zip(rows, counts_r, counts_s):
+                assert sum(row.get(q, 0) * v for q, v in d) == cs - cr, (r, s)
+    assert (len(classes), pairs) == (297, 7482)

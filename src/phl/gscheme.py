@@ -8,37 +8,23 @@ while a clean scan is evidence bounded by n_max.  witness_search needs
 no bound: non-isomorphic R and S are separated by a connected P of at
 most max(|R|, |S|) elements.
 
-A connected P has a connected image, which lies inside one component
-of the target, so #strict(P, R) is the sum of #strict(P, R_c) over the
-components R_c of R.  The scans of bounded_gle_check and witness_search
-use this: a component class shared by R and S (equal canonical codes),
-or repeated within one of them, is counted once per P and weighted by
-its multiplicity on each side, and a component whose longest chain is
-shorter than P's admits no strict map and is skipped.  The counts into
-a component class, keyed by the index of P in class order, are its
-profile (lovasz.strict_profile), kept beside its copy levels in one
-bounded table keyed by code, where every later scan of a component of
-that class reads them.
+A connected P has a connected image, inside one component of the
+target, so #strict(P, R) sums over the components of R.  The scans count
+a component class (canonical code) once per P, weighted by its
+multiplicity in R and in S, skip a component whose longest chain is
+shorter than P's, and keep the counts, by the index of P in class order,
+as the class's profile (lovasz.strict_profile): one bounded table keyed
+by code holds it beside the copy levels, and every later scan reads it.
 
-The copy vector.  A strict map from a connected P factors uniquely as a
-strict surjection onto a connected class Q followed by an induced copy
-of Q, so #strict(P, T) is the sum over connected classes Q of
-#strict_onto(P, Q) * ind(Q, T), where ind(Q, T) counts the induced
-copies of Q in T (lovasz.induced_copies).  Let d = ind(., S) - ind(., R),
-and call its entries on the classes of m elements level m.  Components
-add their copies, so the scans group them by canonical code, and a
-group with as many components in R as in S drops out of d.  Levels 1
-and 2 hold A1 and C2 alone, counted in closed form: #strict(A1, T) =
-|T|, and #strict(C2, T) is T's number of strict relations.  The scans
-compare those before they group a component.  An image has at most
-|P| elements, so for every connected P
-
-    #strict(P, S) - #strict(P, R) = sum over |Q| <= |P| of #strict_onto(P, Q) * d(Q),
-
-and every #strict_onto is >= 0.  Two exact rules follow, which the
-scans apply from level 3 on; neither scan's output changes by them.  On
-levels 1 and 2 the count differences are d itself (#strict_onto(C2, A1)
-= 0), so the closed forms read d there.
+The copy vector.  Let d = ind(., S) - ind(., R) be the copy vector of
+the lovasz docstring, whose identity writes #strict(P, S) - #strict(P, R)
+for connected P as the sum of #strict_onto(P, Q) * d(Q) over the Q of at
+most |P| elements, each #strict_onto >= 0.  Levels 1 and 2 hold A1 and
+C2 alone, where the count differences are d itself (#strict_onto(C2, A1)
+= 0) and come in closed form: #strict(A1, T) = |T|, and #strict(C2, T)
+is T's number of strict relations.  The scans compare those before they
+group a component, and apply two exact rules from level 3 on; neither
+scan's output changes by them.
 
   1. Let k be the first level with a negative entry.  For |P| < k every
      term is >= 0, so no class below k is a counterexample:
@@ -104,7 +90,7 @@ from .errors import (
     NotStrictOnto,
 )
 from .homs import HomMap, count_maps, enumerate_maps, map_tuples
-from .lovasz import display_name, embeddable_connected, induced_copies, strict_profile
+from .lovasz import copy_vector, display_name, embeddable_connected, strict_profile
 from .poset import Poset, require_indices, require_nonempty
 
 if TYPE_CHECKING:
@@ -170,24 +156,16 @@ def _low_counts(r: Poset, s: Poset, n_max: int) -> tuple[tuple[int, int], ...]:
 def _start_level(groups: dict[bytes, list], n_max: int, one_sided: bool) -> int:
     """The first level from 3 on where the copy vector d of the module
     docstring has a negative entry (one_sided, rule 1) or a nonzero one
-    (rule 2), or n_max + 1 when no level up to n_max has one.
-
-    The component groups with equal counts cancel, and a level above the
-    largest component of the others is zero.  When one of those components
-    has more subsets than config.DEFAULT_SUBSET_CEILING, its copies are
-    not walked and the level is 3.
+    (rule 2), or n_max + 1 when no level up to n_max has one.  A level
+    above the largest component that does not cancel is zero; when that
+    component has more subsets than config.DEFAULT_SUBSET_CEILING, its
+    copies are not walked and the level is 3.
     """
-    weighted = [(ms - mr, code, c.n) for code, (c, mr, ms) in groups.items() if mr != ms]
-    largest = max([n for _, _, n in weighted], default=0)
+    largest = max([c.n for c, mr, ms in groups.values() if mr != ms], default=0)
     if 1 << largest > config.DEFAULT_SUBSET_CEILING:
         return 3
     for m in range(3, min(largest, n_max) + 1):
-        diff: dict[bytes, int] = {}
-        for w, code, n in weighted:
-            if n >= m:
-                for q, copies in induced_copies(code, m).items():
-                    diff[q] = diff.get(q, 0) + w * copies
-        if any(v < 0 if one_sided else v for v in diff.values()):
+        if any(v < 0 if one_sided else v for v in copy_vector(groups, m).values()):
             return m
     return n_max + 1
 
@@ -487,20 +465,19 @@ def verify_certificate(cert: TransportCertificate, n_max: int | None = None) -> 
                 f"{display_name(cert.qprime_classes[j])}: {exc}",
             )
 
-    # the count inequality, in exact rational arithmetic
+    # the count inequality, in exact rational arithmetic on induced copies
     from fractions import Fraction
 
-    aut_q = [count_maps("aut", p, p) for p in cert.q_classes]
-    emb_r = [count_maps("emb", p, cert.r) for p in cert.q_classes]
+    groups_r, groups_s = (component_classes(Poset((), ()), t) for t in (cert.r, cert.s))
     ineqs = []
     for j in j_star:
         qp = cert.qprime_classes[j]
-        rhs = Fraction(count_maps("emb", qp, cert.s), count_maps("aut", qp, qp))
+        rhs = Fraction(copy_vector(groups_s, qp.n)[qprime_codes[j]])
         terms = []
         lhs = Fraction(0)
         for i in sorted(set(cert.lam[j])):
             q_ji = sum(1 for i2 in cert.lam[j] if i2 == i)
-            val = Fraction(emb_r[i], q_ji * r_of[i] * aut_q[i])
+            val = Fraction(copy_vector(groups_r, cert.q_classes[i].n)[q_codes[i]], q_ji * r_of[i])
             terms.append((display_name(cert.q_classes[i]), val))
             lhs = max(lhs, val)
         ineqs.append(InequalityInstance(display_name(qp), tuple(terms), lhs, rhs))

@@ -1,15 +1,18 @@
 """Factoring strict-map counts through embedded connected classes.
 
 For connected P, every strict map P -> T factors uniquely as a strict
-surjection onto its (connected) image followed by an embedding, so
+surjection onto its (connected) image Q followed by an induced copy of
+Q, so with ind(Q, T) the number of induced copies of Q in T
 
-    #strict(P, T) = sum over classes Q embeddable in T of
-                    #strict_onto(P, Q) / #aut(Q) * #emb(Q, T).
+    #strict(P, T) = sum over connected classes Q of #strict_onto(P, Q) * ind(Q, T).
 
-The automorphism group of Q acts freely on strict surjections onto Q,
-making the quotient integral.  factor_matrices assembles the three
-count matrices over a shared row universe and checks the identity
-column by column; verify_factorization checks a single (P, T) pair.
+Aut(Q) acts freely on embeddings of Q, so #emb(Q, T) = #aut(Q) * ind(Q, T),
+and on strict surjections onto Q, so sro = #strict_onto / #aut is
+integral: factor_matrices checks the identity as strict = sro . emb
+column by column, and verify_factorization for one (P, T) pair.  The
+copy vector of (R, S), d = ind(., S) - ind(., R) with level m on the
+classes of m elements (copy_vector), gives #strict(P, S) - #strict(P, R)
+as the sum of #strict_onto(P, Q) * d(Q) over the Q of at most |P| elements.
 
 One bounded table keyed by canonical code keeps the data of each
 connected class: its induced copies by level (induced_copies) and its
@@ -24,7 +27,7 @@ from types import MappingProxyType
 from . import config
 from ._bits import bits, down_rows, mask_of
 from ._record import record
-from .canonical import canonical_code, canonical_form, code_rows, representatives
+from .canonical import canonical_code, canonical_form, code_rows, component_classes, representatives
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -45,6 +48,8 @@ def embeddable_connected(*targets: Poset) -> MappingProxyType[bytes, Poset]:
     component of c elements has up to 2^c subsets to code; SizeOverflow
     refuses more than config.DEFAULT_SUBSET_CEILING before any is coded.
     """
+    if not targets:
+        raise InvalidParameter("embeddable classes need at least one target")
     require_nonempty(*targets)
     subsets = max(1 << len(order) for t in targets for order in t.component_orders)
     if subsets > config.DEFAULT_SUBSET_CEILING:
@@ -56,10 +61,9 @@ def embeddable_connected(*targets: Poset) -> MappingProxyType[bytes, Poset]:
 def _embeddable_table(targets: tuple[Poset, ...]) -> dict[bytes, Poset]:
     codes: set[bytes] = set()
     for t in targets:
-        for c in t.component_posets:
-            code = canonical_form(c)
-            for size in range(1, c.n + 1):
-                codes.update(induced_copies(code, size))
+        groups = component_classes(Poset((), ()), t)
+        for size in range(1, t.n + 1):
+            codes.update(copy_vector(groups, size))
     return representatives(codes)
 
 
@@ -95,7 +99,25 @@ def induced_copies(code: bytes, size: int) -> dict[bytes, int]:
     tree), so each level grows from the one below and no 2^|c| walk
     happens.
     """
+    if size < 1:
+        raise InvalidParameter(f"copy level {size} is below 1")
     return _copy_level(code, size)[0]
+
+
+def copy_vector(groups: dict[bytes, list], m: int) -> dict[bytes, int]:
+    """Level m of the copy vector d = ind(., S) - ind(., R) by class code,
+    for groups = canonical.component_classes(R, S); an entry may be 0.
+    Components add their copies, so a group with as many components in R
+    as in S cancels.  ind(., T) is the copy vector of (Poset((), ()), T).
+    """
+    if m < 1:
+        raise InvalidParameter(f"copy level {m} is below 1")
+    d: dict[bytes, int] = {}
+    for code, (c, mr, ms) in groups.items():
+        if mr != ms and c.n >= m:
+            for q, copies in induced_copies(code, m).items():
+                d[q] = d.get(q, 0) + (ms - mr) * copies
+    return d
 
 
 def _copy_level(code: bytes, size: int) -> tuple[dict[bytes, int], list[int]]:

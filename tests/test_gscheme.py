@@ -2,6 +2,7 @@ import operator
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,7 @@ from phl.gscheme import (
     witness_search,
 )
 from phl.homs import HomMap, brute_force_count, count_maps, enumerate_maps
+from phl.lovasz import display_name
 from phl.poset import Poset, catalog, direct_sum, from_pairs, ordinal_sum
 from phl.randgen import random_connected_poset, random_poset
 from phl.serialize import parse_catalog_ref
@@ -250,6 +252,41 @@ def test_fence_crown_certificate_verifies():
     assert report.certified
     assert report.inequalities[-1].lhs == 1
     assert report.scan.holds
+
+
+def embedding_form_inequalities(cert):
+    """(target name, terms, lhs, rhs) of each used target class's count
+    inequality, with ind(Q, T) read as #emb(Q, T) / #aut(Q)."""
+    used = [j for j, count in enumerate(cert.nu) if count]
+    r_of = [sum(i in cert.lam[j] for j in used) for i in range(len(cert.q_classes))]
+    found = []
+    for j in used:
+        qp = cert.qprime_classes[j]
+        terms = []
+        for i in sorted(set(cert.lam[j])):
+            q = cert.q_classes[i]
+            weight = cert.lam[j].count(i) * r_of[i] * count_maps("aut", q, q)
+            terms.append((display_name(q), Fraction(count_maps("emb", q, cert.r), weight)))
+        rhs = Fraction(count_maps("emb", qp, cert.s), count_maps("aut", qp, qp))
+        found.append((display_name(qp), tuple(terms), max(v for _, v in terms), rhs))
+    return found
+
+
+def test_certificate_inequalities_match_the_embedding_form(monkeypatch):
+    """verify_certificate reads induced copies, searching for no embedding
+    or automorphism, and reports the inequalities of the emb / aut form."""
+
+    def no_emb_or_aut(kind, p, q):
+        assert kind not in ("emb", "aut"), kind
+        return count_maps(kind, p, q)
+
+    monkeypatch.setattr(gscheme, "count_maps", no_emb_or_aut)
+    for cert in (zigzag_to_chain_certificate(), fence_to_crown_certificate()):
+        expected = embedding_form_inequalities(cert)
+        for n_max in (4, 5, 6):
+            report = verify_certificate(cert, n_max)
+            assert report.certified
+            assert [(q.target_name, q.terms, q.lhs, q.rhs) for q in report.inequalities] == expected
 
 
 def test_certificate_fails_on_wrong_class_list():
@@ -774,6 +811,31 @@ def test_interleaved_scans_share_one_profile():
         pairs = list(zip(ahead, behind))
         assert first + [a for a, _ in pairs] == expected
         assert [b for _, b in pairs] == expected[:len(pairs)]
+
+
+def dual(p):
+    return Poset(p.labels, [p.down_mask(i) for i in range(p.n)])
+
+
+def test_order_duality_keeps_verdicts_and_witness_sizes():
+    """#strict(P, T) = #strict(P^op, T^op), and duality permutes the
+    connected classes of each size, so on the 7,482 ordered pairs of
+    distinct posets up to 5 elements the duals get the same bound-5 verdict
+    and a witness of the same size, whose dual separates r and s with the
+    counts reported for the duals."""
+    posets = list(enumerate_posets(5))
+    duals = [dual(p) for p in posets]
+    pairs = 0
+    for r, r_op in zip(posets, duals):
+        for s, s_op in zip(posets, duals):
+            if r is s:
+                continue
+            pairs += 1
+            assert bounded_gle_check(r_op, s_op, 5).verdict == bounded_gle_check(r, s, 5).verdict, (r, s)
+            w, (cr, cs) = witness_search(r_op, s_op)
+            assert w.n == witness_search(r, s)[0].n, (r, s)
+            assert cr != cs and (count_maps("strict", dual(w), r), count_maps("strict", dual(w), s)) == (cr, cs)
+    assert pairs == 7482
 
 
 def test_longer_chain_admits_no_strict_map():

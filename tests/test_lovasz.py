@@ -5,6 +5,7 @@ import pytest
 from phl.canonical import (
     canonical_form,
     canonicalize,
+    component_classes,
     enumerate_connected,
     enumerate_posets,
     is_isomorphic,
@@ -14,6 +15,7 @@ from phl.errors import InvalidParameter, SizeOverflow, UniverseMismatch
 from phl.homs import count_maps
 from phl.lovasz import (
     CountMatrix,
+    copy_vector,
     count_strict_onto_orbits,
     display_name,
     embeddable_connected,
@@ -22,7 +24,7 @@ from phl.lovasz import (
     induced_copies,
     verify_factorization,
 )
-from phl.poset import catalog, direct_sum, from_pairs, induced
+from phl.poset import Poset, catalog, direct_sum, from_pairs, induced
 from phl.randgen import random_connected_poset, random_poset
 
 from conftest import catalog_zoo
@@ -234,6 +236,65 @@ def test_induced_copies_count_embeddings_up_to_automorphism():
                 if emb:
                     expected[canonical_form(q)] = emb // count_maps("aut", q, q)
             assert induced_copies(code, size) == expected, (c, size)
+
+
+def onto_row(p):
+    """#strict_onto(p, Q) by Q's code, for the connected Q of at most |p| elements."""
+    return {canonical_form(q): count_maps("strict_onto", p, q) for q in enumerate_connected(p.n)}
+
+
+def whole_copy_vector(r, s):
+    """Every level of the copy vector of (r, s), by class code."""
+    groups = component_classes(r, s)
+    return {q: v for m in range(1, max(r.n, s.n) + 1) for q, v in copy_vector(groups, m).items()}
+
+
+def test_copy_vector_carries_the_count_differences_in_induced_copies():
+    """sum over Q of #strict_onto(P, Q) * d(Q) = #strict(P, S) - #strict(P, R)
+    for every connected P up to 5 elements and each of the 552 ordered pairs
+    of distinct posets up to 4 elements; d scaled by #aut(Q) fails it."""
+    classes = list(enumerate_connected(5))
+    posets = list(enumerate_posets(4))
+    rows = [onto_row(p) for p in classes]
+    strict = [[count_maps("strict", p, t) for p in classes] for t in posets]
+    pairs = 0
+    for r, counts_r in zip(posets, strict):
+        for s, counts_s in zip(posets, strict):
+            if r is s:
+                continue
+            pairs += 1
+            d = whole_copy_vector(r, s)
+            for p, row, cr, cs in zip(classes, rows, counts_r, counts_s):
+                assert sum(row.get(q, 0) * v for q, v in d.items()) == cs - cr, (p, r, s)
+    assert (len(classes), pairs) == (59, 552)
+
+
+def test_embeddings_are_automorphisms_times_induced_copies():
+    """#emb(Q, T) = #aut(Q) * ind(Q, T), with ind(., T) the copy vector of
+    (empty, T), for the 59 connected Q and the 87 posets T up to 5 elements."""
+    classes = list(enumerate_connected(5))
+    posets = list(enumerate_posets(5))
+    assert (len(classes), len(posets)) == (59, 87)
+    for t in posets:
+        groups = component_classes(Poset((), ()), t)
+        for q in classes:
+            ind = copy_vector(groups, q.n).get(canonical_form(q), 0)
+            assert count_maps("emb", q, t) == count_maps("aut", q, q) * ind, (q, t)
+
+
+def test_copy_levels_below_1_are_refused(n_poset):
+    code = canonical_form(n_poset)
+    for size in (0, -2):
+        with pytest.raises(InvalidParameter):
+            induced_copies(code, size)
+        for groups in (component_classes(n_poset, catalog("C", 3)), {}):
+            with pytest.raises(InvalidParameter):
+                copy_vector(groups, size)
+
+
+def test_embeddable_classes_need_a_target():
+    with pytest.raises(InvalidParameter):
+        embeddable_connected()
 
 
 def test_embeddable_table_cannot_be_changed_through_a_result(n_poset):
